@@ -24,12 +24,16 @@ import time
 from collections import Counter, defaultdict
 
 from repro.baselines.base import BaseAnnotator
+from repro.core.cache import LRUCache
 from repro.core.pipeline import KGCandidateExtractor, Part1Config, ProcessedTable
 from repro.data.corpus import TableCorpus
+from repro.data.table import table_key
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker
 
 __all__ = ["MTabAnnotator"]
+
+_PROCESSED_CACHE_SIZE = 4096  # Part-1 results kept (LRU), like KGLinkAnnotator's default
 
 
 class MTabAnnotator(BaseAnnotator):
@@ -48,16 +52,20 @@ class MTabAnnotator(BaseAnnotator):
         self.label_vocabulary: list[str] = []
         self._lowercase_labels: dict[str, str] = {}
         self._translation: dict[str, str] = {}
-        self._processed_cache: dict[str, ProcessedTable] = {}
+        self._processed_cache: LRUCache[str, ProcessedTable] = LRUCache(
+            maxsize=_PROCESSED_CACHE_SIZE
+        )
 
     # ------------------------------------------------------------------ #
     def _process_corpus(self, corpus: TableCorpus) -> list[ProcessedTable]:
         processed = []
         for table in corpus.tables:
-            cached = self._processed_cache.get(table.table_id)
+            # Content key, labels included: fit reads ColumnKGInfo.label.
+            key = table_key(table, labels=True)
+            cached = self._processed_cache.get(key)
             if cached is None:
                 cached = self.extractor.process_table(table)
-                self._processed_cache[table.table_id] = cached
+                self._processed_cache.put(key, cached)
             processed.append(cached)
         return processed
 

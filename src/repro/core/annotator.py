@@ -34,7 +34,7 @@ from repro.core.serialization import SerializerConfig, TableSerializer
 from repro.core.trainer import KGLinkTrainer, TrainingConfig, TrainingHistory
 from repro.data.corpus import TableCorpus
 from repro.data.metrics import EvaluationResult, evaluate_predictions
-from repro.data.table import Table
+from repro.data.table import Table, table_key
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.plm.config import PLMConfig
@@ -192,12 +192,15 @@ class KGLinkAnnotator:
     # internal helpers
     # ------------------------------------------------------------------ #
     def _process(self, tables: list[Table]) -> list[ProcessedTable]:
+        # Keyed by content, labels included: ColumnKGInfo.label feeds the
+        # ground-truth serialisation during fit.
         processed = []
         for table in tables:
-            cached = self._processed_cache.get(table.table_id)
+            key = table_key(table, labels=True)
+            cached = self._processed_cache.get(key)
             if cached is None:
                 cached = self.extractor.process_table(table)
-                self._processed_cache.put(table.table_id, cached)
+                self._processed_cache.put(key, cached)
             processed.append(cached)
         return processed
 

@@ -40,6 +40,15 @@ __all__ = [
     "KGCandidateExtractor",
 ]
 
+# Bounds of the extractor's memos (entries; a full memo is cleared and
+# refilled).  Each memo holds a pure function of the graph snapshot or of a
+# mention, so clearing one only costs recomputation.
+_NEIGHBOR_MEMO_SIZE = 16_384  # entity -> one-hop neighbourhood (and its type filter)
+_UNION_MEMO_SIZE = 4_096      # linked entity ids of a cell -> union of neighbourhoods
+_SCHEMA_MEMO_SIZE = 16_384    # cell mention -> EntitySchema
+_EXCLUDED_TYPE_SCHEMAS = (EntitySchema.PERSON, EntitySchema.DATE)
+_EMPTY: frozenset[str] = frozenset()
+
 
 @dataclass(frozen=True)
 class Part1Config:
@@ -145,19 +154,86 @@ class KGCandidateExtractor:
         self.linker = linker or EntityLinker(
             graph, LinkerConfig(max_candidates=self.config.max_entities_per_cell)
         )
-        # One-hop neighbourhoods are queried repeatedly for the same entities;
-        # memoise them per extractor instance.
+        # Neighbourhoods, their unions and mention schemas repeat across the
+        # cells and tables one extractor sees; memoise them per instance (the
+        # memos die with the extractor, and each is bounded, see above).
         self._neighbor_cache: dict[str, frozenset[str]] = {}
+        self._type_neighbor_cache: dict[str, tuple[str, ...]] = {}
+        self._union_cache: dict[tuple[str, ...], frozenset[str]] = {}
+        self._schema_cache: dict[str, EntitySchema] = {}
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _remember(memo: dict, key, value, bound: int):
+        if len(memo) >= bound:
+            memo.clear()
+        memo[key] = value
+        return value
+
     def _neighbors(self, entity_id: str) -> frozenset[str]:
         cached = self._neighbor_cache.get(entity_id)
         if cached is None:
-            cached = frozenset(self.graph.one_hop_neighbors(entity_id))
-            self._neighbor_cache[entity_id] = cached
+            cached = self._remember(
+                self._neighbor_cache, entity_id,
+                frozenset(self.graph.one_hop_neighbors(entity_id)), _NEIGHBOR_MEMO_SIZE,
+            )
         return cached
+
+    def _type_neighbors(self, entity_id: str) -> tuple[str, ...]:
+        """``N(e)`` without PERSON and DATE entities: the candidate types ``e`` supports."""
+        cached = self._type_neighbor_cache.get(entity_id)
+        if cached is None:
+            entity = self.graph.entity
+            cached = self._remember(
+                self._type_neighbor_cache, entity_id,
+                tuple(
+                    neighbor_id for neighbor_id in self._neighbors(entity_id)
+                    if entity(neighbor_id).schema not in _EXCLUDED_TYPE_SCHEMAS
+                ),
+                _NEIGHBOR_MEMO_SIZE,
+            )
+        return cached
+
+    def _neighborhood_union(self, links: list[EntityLink]) -> frozenset[str]:
+        """Union of the one-hop neighbourhoods of a cell's linked entities."""
+        if not links:
+            return _EMPTY
+        key = tuple([link.entity_id for link in links])
+        cached = self._union_cache.get(key)
+        if cached is None:
+            cached = self._remember(
+                self._union_cache, key,
+                _EMPTY.union(*(self._neighbors(entity_id) for entity_id in key)),
+                _UNION_MEMO_SIZE,
+            )
+        return cached
+
+    def _schema(self, mention: str) -> EntitySchema:
+        cached = self._schema_cache.get(mention)
+        if cached is None:
+            cached = self._remember(
+                self._schema_cache, mention, detect_schema(mention), _SCHEMA_MEMO_SIZE
+            )
+        return cached
+
+    @staticmethod
+    def _column_is_numeric(linked: list[list[CellLinkage]], col_index: int) -> bool:
+        """:meth:`Column.is_numeric` over the schemas :meth:`link_table` detected.
+
+        Numeric when every non-empty cell is a NUMBER and at least one cell
+        is non-empty.
+        """
+        non_empty = False
+        for row in linked:
+            cell = row[col_index]
+            if not cell.mention.strip():
+                continue
+            if cell.schema is not EntitySchema.NUMBER:
+                return False
+            non_empty = True
+        return non_empty
 
     # ------------------------------------------------------------------ #
     # step 1: linking
@@ -175,7 +251,7 @@ class KGCandidateExtractor:
             for row_index in range(table.n_rows)
             for col_index in range(table.n_columns)
         ]
-        schemas = [detect_schema(mention) for mention in mentions]
+        schemas = [self._schema(mention) for mention in mentions]
         all_links = self.linker.link_batch(mentions, schemas=schemas)
         n_cols = table.n_columns
         linked: list[list[CellLinkage]] = []
@@ -208,31 +284,27 @@ class KGCandidateExtractor:
         Eq. 4 over the pruned set when it is non-empty.
         """
         for row in linked:
-            # Pre-compute the one-hop neighbourhood of each column's entity set.
-            column_neighborhoods: list[set[str]] = []
-            for cell in row:
-                neighborhood: set[str] = set()
-                for link in cell.raw_links:
-                    neighborhood.update(self._neighbors(link.entity_id))
-                column_neighborhoods.append(neighborhood)
+            # The one-hop neighbourhood of each column's entity set.
+            column_neighborhoods = [self._neighborhood_union(cell.raw_links) for cell in row]
 
             for col_index, cell in enumerate(row):
                 if not cell.raw_links:
                     cell.candidate_entities = {}
                     cell.linking_score = 0.0
                     continue
+                # Empty neighbourhoods (unlinked cells) contain no entity.
                 other_neighborhoods = [
-                    column_neighborhoods[other]
-                    for other in range(len(row))
-                    if other != col_index
+                    neighborhood
+                    for other, neighborhood in enumerate(column_neighborhoods)
+                    if other != col_index and neighborhood
                 ]
                 scores_by_entity: dict[str, float] = {}
                 best_pruned_score = 0.0
                 for link in cell.raw_links:
-                    overlap = sum(
-                        1 for neighborhood in other_neighborhoods
-                        if link.entity_id in neighborhood
-                    )
+                    overlap = 0
+                    for neighborhood in other_neighborhoods:
+                        if link.entity_id in neighborhood:
+                            overlap += 1
                     if overlap > 0:
                         scores_by_entity[link.entity_id] = float(overlap)
                         best_pruned_score = max(best_pruned_score, link.score)
@@ -278,25 +350,28 @@ class KGCandidateExtractor:
         helper entities only when they never occur as types in the graph.
         """
         scores: dict[str, float] = {}
-        rows_supporting: dict[str, set[int]] = {}
+        first_row: dict[str, int] = {}
+        multi_row_ids: set[str] = set()
         for row_index in kept_rows:
             cell = linked[row_index][col_index]
             for entity_id, overlap_score in cell.candidate_entities.items():
                 if overlap_score <= 0.0:
                     continue
-                for neighbor_id in self._neighbors(entity_id):
-                    neighbor = self.graph.entity(neighbor_id)
-                    if neighbor.schema in (EntitySchema.PERSON, EntitySchema.DATE):
-                        continue
-                    scores[neighbor_id] = scores.get(neighbor_id, 0.0) + overlap_score
-                    rows_supporting.setdefault(neighbor_id, set()).add(row_index)
+                for neighbor_id in self._type_neighbors(entity_id):
+                    if neighbor_id in scores:
+                        scores[neighbor_id] += overlap_score
+                        if first_row[neighbor_id] != row_index:
+                            multi_row_ids.add(neighbor_id)
+                    else:
+                        scores[neighbor_id] = overlap_score
+                        first_row[neighbor_id] = row_index
         # Eq. 8 only counts support coming from *other* rows (r2 != r1): a type
         # seen from a single row therefore has no cross-row evidence and is
         # dropped unless nothing better exists.
         multi_row = {
             entity_id: score
             for entity_id, score in scores.items()
-            if len(rows_supporting[entity_id]) > 1
+            if entity_id in multi_row_ids
         }
         return multi_row or scores
 
@@ -354,7 +429,7 @@ class KGCandidateExtractor:
 
         columns: list[ColumnKGInfo] = []
         for col_index, column in enumerate(table.columns):
-            is_numeric = column.is_numeric()
+            is_numeric = self._column_is_numeric(linked, col_index)
             info = ColumnKGInfo(
                 column_index=col_index,
                 label=column.label,

@@ -9,12 +9,14 @@ oracle but which no model is allowed to read.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
+from typing import Any
 
 from repro.text.ner import EntitySchema, detect_schema
 
-__all__ = ["Column", "Table"]
+__all__ = ["Column", "Table", "table_key"]
 
 
 @dataclass
@@ -174,3 +176,51 @@ class Table:
             "labels": self.labels(),
             "numeric_columns": sum(1 for column in self.columns if column.is_numeric()),
         }
+
+
+def table_key(table: Any, *, labels: bool = False) -> str:
+    """Content digest of a table: same bytes in, same key out.
+
+    Covers the table id, column names and cells, plus each column's label
+    when ``labels`` is true (for caches whose entries carry ground truth).
+    Accepts both shapes that reach the serving tiers: :class:`Table` objects
+    and the wire-shaped mapping (``table_id`` / ``columns`` with ``name``
+    and ``cells``).  Anything else degrades to a digest of its ``repr``.
+    Collisions are SHA-256-hard; identity is *content*, so a re-sent table
+    hits regardless of which request object carried it, and a reused id
+    with different content misses.
+    """
+    digest = hashlib.sha256()
+
+    def _column(name: Any, cells: Any, label: Any) -> None:
+        digest.update(b"\x00col\x00")
+        digest.update(repr(name).encode())
+        for cell in cells:
+            digest.update(b"\x00")
+            digest.update(repr(cell).encode())
+        if labels:
+            digest.update(b"\x00label\x00")
+            digest.update(repr(label).encode())
+
+    columns = getattr(table, "columns", None)
+    if columns is not None and hasattr(table, "table_id"):
+        digest.update(repr(table.table_id).encode())
+        for column in columns:
+            _column(getattr(column, "name", ""), getattr(column, "cells", ()),
+                    getattr(column, "label", None))
+    elif isinstance(table, dict):
+        digest.update(repr(table.get("table_id", "")).encode())
+        raw_columns = table.get("columns")
+        if isinstance(raw_columns, list):
+            for column in raw_columns:
+                if isinstance(column, dict):
+                    _column(column.get("name", column.get("header", "")),
+                            column.get("cells", ()), column.get("label"))
+                else:
+                    digest.update(repr(column).encode())
+        else:
+            for item in sorted(table.items(), key=lambda kv: repr(kv[0])):
+                digest.update(repr(item).encode())
+    else:
+        digest.update(repr(table).encode())
+    return digest.hexdigest()

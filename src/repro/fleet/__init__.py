@@ -19,7 +19,8 @@ tier up; SIGTERM drains it gracefully (gateway stops admitting → in-flight
 batches finish → every replica is terminated and joined).
 """
 
-from repro.fleet.cache import SharedResultsCache, table_key
+from repro.data.table import table_key
+from repro.fleet.cache import SharedResultsCache
 from repro.fleet.router import FleetHealth, FleetRouter, FleetStats
 from repro.fleet.supervisor import (
     FleetMember,

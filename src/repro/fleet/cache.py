@@ -13,9 +13,9 @@ of the whole fleet, and collapses that duplication two ways:
   key *join* the in-flight computation and wait (with their own deadlines)
   for the lead to publish, instead of dispatching duplicates.
 
-Keys come from :func:`table_key` — a content digest over the table's id,
-column names and cells, so "the same table" means the same bytes of input,
-not object identity.
+Keys come from :func:`repro.data.table.table_key` — a content digest over
+the table's id, column names and cells, so "the same table" means the same
+bytes of input, not object identity.
 
 Counters (hits / misses / coalesced / evictions, plus current size) feed
 the router's ``stats()`` and the gateway's ``/stats`` and ``/metrics``
@@ -28,7 +28,6 @@ a transient replica failure never wedges a key permanently.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections.abc import Callable
@@ -37,51 +36,9 @@ from typing import Any
 from repro.core.cache import LRUCache
 from repro.core.errors import DeadlineExceeded
 
-__all__ = ["table_key", "Flight", "SharedResultsCache"]
+__all__ = ["Flight", "SharedResultsCache"]
 
 _MISSING = object()
-
-
-def table_key(table: Any) -> str:
-    """Content digest of a table: same bytes in, same key out.
-
-    Accepts both shapes that reach the router: parsed
-    :class:`~repro.data.table.Table` objects (what the gateway hands its
-    service) and the wire-shaped mapping (``table_id`` / ``columns`` with
-    ``name`` and ``cells``).  Anything else degrades to a digest of its
-    ``repr``.  Collisions are SHA-256-hard; identity is *content*, so a
-    re-sent table hits regardless of which request object carried it.
-    """
-    digest = hashlib.sha256()
-
-    def _column(name: Any, cells: Any) -> None:
-        digest.update(b"\x00col\x00")
-        digest.update(repr(name).encode())
-        for cell in cells:
-            digest.update(b"\x00")
-            digest.update(repr(cell).encode())
-
-    columns = getattr(table, "columns", None)
-    if columns is not None and hasattr(table, "table_id"):
-        digest.update(repr(table.table_id).encode())
-        for column in columns:
-            _column(getattr(column, "name", ""), getattr(column, "cells", ()))
-    elif isinstance(table, dict):
-        digest.update(repr(table.get("table_id", "")).encode())
-        raw_columns = table.get("columns")
-        if isinstance(raw_columns, list):
-            for column in raw_columns:
-                if isinstance(column, dict):
-                    _column(column.get("name", column.get("header", "")),
-                            column.get("cells", ()))
-                else:
-                    digest.update(repr(column).encode())
-        else:
-            for item in sorted(table.items(), key=lambda kv: repr(kv[0])):
-                digest.update(repr(item).encode())
-    else:
-        digest.update(repr(table).encode())
-    return digest.hexdigest()
 
 
 class Flight:

@@ -54,7 +54,8 @@ from repro.core.errors import (
     ServingError,
     WorkerCrashed,
 )
-from repro.fleet.cache import SharedResultsCache, table_key
+from repro.data.table import table_key
+from repro.fleet.cache import SharedResultsCache
 from repro.fleet.supervisor import FleetMember, ReplicaSupervisor
 from repro.fleet.wire import ReplicaClient
 from repro.runtime.resilience import CircuitBreaker, RuntimePolicy

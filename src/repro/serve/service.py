@@ -24,7 +24,9 @@ into the existing inference machinery:
   single-worker-thread overlap was partial at best);
 * prepared tables (Part-1 output serialised into model-ready arrays) are
   memoised in a bounded :class:`~repro.core.cache.LRUCache` keyed by table
-  id — a warm request skips candidate extraction *and* serialisation — and
+  content (:func:`~repro.data.table.table_key`, so a client reusing an id
+  for a different table never gets another table's answer) — a warm
+  request skips candidate extraction *and* serialisation — and
   :meth:`AnnotationService.stats` reports per-request telemetry
   (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits,
   plus fault counters: retries, timeouts, worker crashes, fallbacks);
@@ -62,7 +64,7 @@ from repro.core.errors import DeadlineExceeded, ServiceClosed
 from repro.core.pipeline import KGCandidateExtractor
 from repro.core.serialization import TableSerializer
 from repro.core.trainer import KGLinkTrainer, PreparedExample
-from repro.data.table import Table
+from repro.data.table import Table, table_key
 from repro.kg.backends import ShardedBackend, restore_backend, shard_boundaries
 from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.kg.snapshot import KGSnapshot
@@ -562,18 +564,17 @@ class AnnotationService:
         missing_tables: list[Table] = []
         missing_keys: list[object] = []
         positions_by_key: dict[object, list[int]] = {}
-        # Deduplicating repeated table ids within a request assumes an id
-        # identifies a table's contents — exactly the assumption the cache
-        # makes.  With caching disabled the service promises independent
-        # processing per table, so each position becomes its own key.
+        # Tables are deduplicated within a request, and cached, by content.
+        # With caching disabled the service promises independent processing
+        # per table, so each position becomes its own key.
         dedup = self._cache.maxsize > 0
         with self._prepare_lock:
             for position, table in enumerate(tables):
-                key: object = table.table_id if dedup else position
+                key: object = table_key(table) if dedup else position
                 if key in positions_by_key:  # duplicate within request
                     positions_by_key[key].append(position)
                     continue
-                cached = self._cache.get(table.table_id)
+                cached = self._cache.get(key)
                 if cached is None:
                     positions_by_key[key] = [position]
                     missing_tables.append(table)
@@ -592,9 +593,8 @@ class AnnotationService:
             fresh = join()
             if fresh:
                 with self._prepare_lock:
-                    for table, key, example in zip(missing_tables, missing_keys,
-                                                   fresh, strict=True):
-                        self._cache.put(table.table_id, example)
+                    for key, example in zip(missing_keys, fresh, strict=True):
+                        self._cache.put(key, example)
                         for position in positions_by_key[key]:
                             slots[position] = example
             with self._stats_lock:

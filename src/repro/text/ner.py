@@ -120,9 +120,10 @@ def is_person_mention(mention: str) -> bool:
 def detect_schema(mention: str) -> EntitySchema:
     """Classify a mention into the coarse named-entity schema.
 
-    The order matters: numbers before dates (a bare ``1987`` is treated as a
-    date only if it fails the richer numeric patterns is irrelevant here — the
-    paper treats both the same way for linking), then persons, then OTHER.
+    Dates come first, but only those the numeric pattern does not also match:
+    a bare year such as ``1987`` is classified as a NUMBER.  The paper treats
+    numbers and dates the same way for linking, so this tie-break does not
+    change which cells are linked.  Persons come next, then OTHER.
     """
     if mention is None or not str(mention).strip():
         return EntitySchema.OTHER
@@ -131,8 +132,6 @@ def detect_schema(mention: str) -> EntitySchema:
         return EntitySchema.DATE
     if is_numeric_mention(mention):
         return EntitySchema.NUMBER
-    if is_date_mention(mention):
-        return EntitySchema.DATE
     if is_person_mention(mention):
         return EntitySchema.PERSON
     return EntitySchema.OTHER

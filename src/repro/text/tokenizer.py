@@ -19,6 +19,10 @@ __all__ = ["basic_tokenize", "WordPieceTokenizer"]
 
 _WORD_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
+# Bound (entries) of a tokenizer's word -> token-ids memo; a full memo is
+# cleared and refilled.
+_WORD_MEMO_SIZE = 16_384
+
 
 def basic_tokenize(text: str) -> list[str]:
     """Lower-case and split text into words and isolated punctuation marks."""
@@ -39,6 +43,10 @@ class WordPieceTokenizer:
     def __init__(self, vocabulary: Vocabulary, max_word_chars: int = 32):
         self.vocabulary = vocabulary
         self.max_word_chars = max_word_chars
+        # word -> token ids, valid for the (vocabulary, size, max_word_chars)
+        # it was filled under; add_token is public, so encode checks the stamp.
+        self._word_ids: dict[str, tuple[int, ...]] = {}
+        self._word_ids_stamp: tuple = ()
 
     # ------------------------------------------------------------------ #
     # training
@@ -133,8 +141,25 @@ class WordPieceTokenizer:
         return pieces
 
     def encode(self, text: str, max_length: int | None = None) -> list[int]:
-        """Tokenise and convert to ids, optionally truncating to ``max_length``."""
-        ids = self.vocabulary.encode(self.tokenize(text))
+        """Tokenise and convert to ids, optionally truncating to ``max_length``.
+
+        Equal to ``vocabulary.encode(tokenize(text))[:max_length]``, with
+        each word's ids memoised.
+        """
+        vocabulary = self.vocabulary
+        stamp = (vocabulary, len(vocabulary), self.max_word_chars)
+        memo = self._word_ids
+        if stamp != self._word_ids_stamp:
+            memo.clear()
+            self._word_ids_stamp = stamp
+        ids: list[int] = []
+        for word in basic_tokenize(text):
+            word_ids = memo.get(word)
+            if word_ids is None:
+                if len(memo) >= _WORD_MEMO_SIZE:
+                    memo.clear()
+                word_ids = memo[word] = tuple(vocabulary.encode(self._split_word(word)))
+            ids.extend(word_ids)
         if max_length is not None:
             ids = ids[:max_length]
         return ids

@@ -23,12 +23,18 @@ TINY_CONFIG = KGLinkConfig(
 
 
 @pytest.fixture(scope="package")
-def fleet_bundle(graph, linker, semtab_splits, tmp_path_factory):
+def fleet_annotator(graph, linker, semtab_splits):
+    """The fitted annotator every fleet-suite service is exported from."""
     train = TableCorpus("train", semtab_splits.train.tables[:8],
                         semtab_splits.train.label_vocabulary)
     annotator = KGLinkAnnotator(graph, TINY_CONFIG, linker=linker)
     annotator.fit(train)
-    return ServiceBundle.from_annotator(annotator).save(
+    return annotator
+
+
+@pytest.fixture(scope="package")
+def fleet_bundle(fleet_annotator, tmp_path_factory):
+    return ServiceBundle.from_annotator(fleet_annotator).save(
         tmp_path_factory.mktemp("fleet-bundles") / "svc"
     )
 

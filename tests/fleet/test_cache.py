@@ -8,8 +8,8 @@ import time
 import pytest
 
 from repro.core.errors import DeadlineExceeded, ReplicaUnavailable
-from repro.data.table import Column, Table
-from repro.fleet.cache import Flight, SharedResultsCache, table_key
+from repro.data.table import Column, Table, table_key
+from repro.fleet.cache import Flight, SharedResultsCache
 
 
 def dict_table(table_id="t0", name="c0", cells=("a", "b")) -> dict:
@@ -55,6 +55,15 @@ class TestTableKey:
         legacy = {"table_id": "t0",
                   "columns": [{"header": "c0", "cells": ["a", "b"]}]}
         assert table_key(legacy) == table_key(dict_table())
+
+    def test_labels_count_only_when_asked(self):
+        labelled = Table(table_id="t0", columns=[
+            Column(name="c0", cells=["a", "b"], label="city")])
+        assert table_key(labelled) == table_key(obj_table())
+        assert table_key(labelled, labels=True) != table_key(obj_table(), labels=True)
+        dict_labelled = {"table_id": "t0", "columns": [
+            {"name": "c0", "cells": ["a", "b"], "label": "city"}]}
+        assert table_key(dict_labelled, labels=True) == table_key(labelled, labels=True)
 
     def test_unknown_shapes_fall_back_to_repr(self):
         assert table_key("weird") == table_key("weird")
