@@ -60,8 +60,7 @@ class MTabAnnotator(BaseAnnotator):
     def _process_corpus(self, corpus: TableCorpus) -> list[ProcessedTable]:
         processed = []
         for table in corpus.tables:
-            # Content key, labels included: fit reads ColumnKGInfo.label.
-            key = table_key(table, labels=True)
+            key = table_key(table)
             cached = self._processed_cache.get(key)
             if cached is None:
                 cached = self.extractor.process_table(table)

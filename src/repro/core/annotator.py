@@ -192,11 +192,9 @@ class KGLinkAnnotator:
     # internal helpers
     # ------------------------------------------------------------------ #
     def _process(self, tables: list[Table]) -> list[ProcessedTable]:
-        # Keyed by content, labels included: ColumnKGInfo.label feeds the
-        # ground-truth serialisation during fit.
         processed = []
         for table in tables:
-            key = table_key(table, labels=True)
+            key = table_key(table)
             cached = self._processed_cache.get(key)
             if cached is None:
                 cached = self.extractor.process_table(table)

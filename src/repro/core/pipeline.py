@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.table import Column, Table
+from repro.data.table import Column, Table, schemas_are_numeric
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLink, EntityLinker, LinkerConfig
 from repro.kg.snapshot import KGSnapshot
@@ -217,23 +217,6 @@ class KGCandidateExtractor:
                 self._schema_cache, mention, detect_schema(mention), _SCHEMA_MEMO_SIZE
             )
         return cached
-
-    @staticmethod
-    def _column_is_numeric(linked: list[list[CellLinkage]], col_index: int) -> bool:
-        """:meth:`Column.is_numeric` over the schemas :meth:`link_table` detected.
-
-        Numeric when every non-empty cell is a NUMBER and at least one cell
-        is non-empty.
-        """
-        non_empty = False
-        for row in linked:
-            cell = row[col_index]
-            if not cell.mention.strip():
-                continue
-            if cell.schema is not EntitySchema.NUMBER:
-                return False
-            non_empty = True
-        return non_empty
 
     # ------------------------------------------------------------------ #
     # step 1: linking
@@ -429,7 +412,9 @@ class KGCandidateExtractor:
 
         columns: list[ColumnKGInfo] = []
         for col_index, column in enumerate(table.columns):
-            is_numeric = self._column_is_numeric(linked, col_index)
+            is_numeric = schemas_are_numeric(
+                (row[col_index].mention, row[col_index].schema) for row in linked
+            )
             info = ColumnKGInfo(
                 column_index=col_index,
                 label=column.label,

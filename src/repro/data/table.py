@@ -11,12 +11,29 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.text.ner import EntitySchema, detect_schema
 
-__all__ = ["Column", "Table", "table_key"]
+__all__ = ["Column", "Table", "schemas_are_numeric", "table_key"]
+
+
+def schemas_are_numeric(cells: Iterable[tuple[str, EntitySchema]]) -> bool:
+    """The numeric-column rule over ``(cell, schema)`` pairs.
+
+    Numeric when every non-empty cell is a NUMBER and at least one cell is
+    non-empty.  Shared by :meth:`Column.is_numeric` and Part 1, which passes
+    the schemas it already detected while linking.
+    """
+    non_empty = False
+    for cell, schema in cells:
+        if not cell.strip():
+            continue
+        if schema is not EntitySchema.NUMBER:
+            return False
+        non_empty = True
+    return non_empty
 
 
 @dataclass
@@ -54,10 +71,7 @@ class Column:
         This matches the paper's definition used for Table III: "If all cells
         from a column are numeric, we classify this column as numeric".
         """
-        non_empty = [cell for cell in self.cells if cell.strip()]
-        if not non_empty:
-            return False
-        return all(detect_schema(cell) == EntitySchema.NUMBER for cell in non_empty)
+        return schemas_are_numeric((cell, detect_schema(cell)) for cell in self.cells)
 
     def schema_profile(self) -> dict[EntitySchema, int]:
         """Histogram of cell schema categories (useful for statistics)."""
@@ -178,11 +192,11 @@ class Table:
         }
 
 
-def table_key(table: Any, *, labels: bool = False) -> str:
+def table_key(table: Any) -> str:
     """Content digest of a table: same bytes in, same key out.
 
-    Covers the table id, column names and cells, plus each column's label
-    when ``labels`` is true (for caches whose entries carry ground truth).
+    Covers the table id and each column's name, cells and label (cached
+    Part-1 results carry the labels as ground truth).
     Accepts both shapes that reach the serving tiers: :class:`Table` objects
     and the wire-shaped mapping (``table_id`` / ``columns`` with ``name``
     and ``cells``).  Anything else degrades to a digest of its ``repr``.
@@ -198,9 +212,8 @@ def table_key(table: Any, *, labels: bool = False) -> str:
         for cell in cells:
             digest.update(b"\x00")
             digest.update(repr(cell).encode())
-        if labels:
-            digest.update(b"\x00label\x00")
-            digest.update(repr(label).encode())
+        digest.update(b"\x00label\x00")
+        digest.update(repr(label).encode())
 
     columns = getattr(table, "columns", None)
     if columns is not None and hasattr(table, "table_id"):

@@ -14,8 +14,8 @@ of the whole fleet, and collapses that duplication two ways:
   for the lead to publish, instead of dispatching duplicates.
 
 Keys come from :func:`repro.data.table.table_key` — a content digest over
-the table's id, column names and cells, so "the same table" means the same
-bytes of input, not object identity.
+the table's id and its columns' names, cells and labels, so "the same
+table" means the same bytes of input, not object identity.
 
 Counters (hits / misses / coalesced / evictions, plus current size) feed
 the router's ``stats()`` and the gateway's ``/stats`` and ``/metrics``

@@ -56,14 +56,13 @@ class TestTableKey:
                   "columns": [{"header": "c0", "cells": ["a", "b"]}]}
         assert table_key(legacy) == table_key(dict_table())
 
-    def test_labels_count_only_when_asked(self):
+    def test_label_is_part_of_identity(self):
         labelled = Table(table_id="t0", columns=[
             Column(name="c0", cells=["a", "b"], label="city")])
-        assert table_key(labelled) == table_key(obj_table())
-        assert table_key(labelled, labels=True) != table_key(obj_table(), labels=True)
+        assert table_key(labelled) != table_key(obj_table())
         dict_labelled = {"table_id": "t0", "columns": [
             {"name": "c0", "cells": ["a", "b"], "label": "city"}]}
-        assert table_key(dict_labelled, labels=True) == table_key(labelled, labels=True)
+        assert table_key(dict_labelled) == table_key(labelled)
 
     def test_unknown_shapes_fall_back_to_repr(self):
         assert table_key("weird") == table_key("weird")
