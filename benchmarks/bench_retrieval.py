@@ -298,7 +298,7 @@ def run(n_docs: int, vocab_size: int, n_queries: int, n_scalar_queries: int,
     scalar_seconds = time.perf_counter() - start
 
     # Sanity: both paths agree on the sampled prefix.
-    for vec, ref in zip(vector_hits, scalar_hits, strict=True):
+    for vec, ref in zip(vector_hits[:len(scalar_hits)], scalar_hits, strict=True):
         assert [h.doc_id for h in vec] == [h.doc_id for h in ref], "parity violation"
 
     vector_per_query = vector_seconds / len(queries)

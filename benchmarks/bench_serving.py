@@ -206,9 +206,12 @@ async def open_loop(port: int, payloads: list[dict], rate_rps: float,
 # fleet tier: 2 worker processes behind the gateway, shared results cache
 # --------------------------------------------------------------------------- #
 def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
-                max_batch: int, max_wait_ms: float,
-                service_max_batch: int) -> dict:
+                max_batch: int, service_max_batch: int) -> dict:
     """Closed-loop capacity of a process-replica fleet, plus the cache hit path.
+
+    The gateway runs the fleet's derived batching policy, as
+    ``python -m repro.fleet`` ships it: one batch slot per replica and no
+    coalescing window.
 
     Two passes over the same bundle: one with the shared results cache
     disabled (``maxsize=0``) so every request travels the wire to a replica
@@ -233,9 +236,7 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
                            cache=SharedResultsCache(maxsize=cache_size),
                            max_batch=max_batch, own_supervisor=True)
 
-    config = GatewayConfig(port=0, max_batch=max_batch,
-                           max_wait_ms=max_wait_ms,
-                           max_concurrent_batches=2, default_deadline_ms=0.0)
+    config = GatewayConfig(port=0, max_batch=max_batch, default_deadline_ms=0.0)
 
     async def measure(router) -> dict:
         async with Gateway(router, config) as gateway:
@@ -371,7 +372,6 @@ def main() -> None:
             fleet_metrics = bench_fleet(
                 bundle_dir, [payload_of(table) for table in serve_tables],
                 replicas=args.replicas, max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
                 service_max_batch=args.max_batch,
             )
         # Fleet throughput over the single-process gateway's capacity on

@@ -247,7 +247,7 @@ async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
         for table in tables
     ]
     async with Gateway(router, GatewayConfig(
-        port=0, max_wait_ms=5.0, default_deadline_ms=0.0,
+        port=0, default_deadline_ms=0.0,
     )) as gateway:
         members = router.health().replicas
         print(f"   listening on 127.0.0.1:{gateway.port}; replicas: "

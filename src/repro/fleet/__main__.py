@@ -10,7 +10,8 @@ same bundle and serving the fleet wire protocol on a loopback socket), a
 :class:`~repro.fleet.router.FleetRouter` fronts them with least-outstanding
 routing, per-replica breakers and the shared results cache, and the HTTP
 :class:`~repro.gateway.app.Gateway` serves on ``--port`` with the router in
-its service seat.
+its service seat.  The gateway keeps one batch in flight per replica and
+dispatches each batch as soon as it takes it, with no coalescing window.
 
 SIGTERM/SIGINT drains the whole tier gracefully, top down: the gateway
 stops admitting and answers what it accepted, the router finishes in-flight
@@ -45,12 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gateway listen port (0 picks a free one)")
     parser.add_argument("--max-batch", type=int, default=None,
                         help="requests coalesced per gateway micro-batch")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="micro-batch coalescing window")
     parser.add_argument("--max-queue", type=int, default=256,
                         help="admission bound; beyond it requests are shed "
                              "oldest-deadline-first")
-    parser.add_argument("--max-concurrent-batches", type=int, default=2)
     parser.add_argument("--default-deadline-ms", type=float, default=None,
                         help="deadline for requests without an X-Deadline-Ms header")
     parser.add_argument("--timeout-s", type=float, default=30.0,
@@ -106,9 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     config = GatewayConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
-        max_concurrent_batches=args.max_concurrent_batches,
-        default_deadline_ms=args.default_deadline_ms,
+        max_queue=args.max_queue, default_deadline_ms=args.default_deadline_ms,
     )
     try:
         asyncio.run(_serve(router, config, args.replicas))

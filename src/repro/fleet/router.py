@@ -192,6 +192,11 @@ class FleetRouter:
         self._in_flight = 0  # guarded-by: _lifecycle
         self._closed = False  # guarded-by: _lifecycle
 
+    @property
+    def replicas(self) -> int:
+        """Fleet size; the gateway gives each replica its own batch slot."""
+        return self.supervisor.replicas
+
     def _default_endpoint(self, name: str, address: tuple[str, int]) -> Any:
         timeout = self.policy.timeout_s or DEFAULT_BUDGET_S
         return ReplicaClient(address, name=name, default_timeout_s=timeout,

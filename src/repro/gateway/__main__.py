@@ -32,12 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-batch", type=int, default=None,
                         help="requests coalesced per micro-batch "
                              "(default: the service's max_batch)")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="micro-batch coalescing window")
+    parser.add_argument("--max-wait-ms", type=float, default=None,
+                        help="micro-batch coalescing window (default: 5)")
     parser.add_argument("--max-queue", type=int, default=256,
                         help="admission bound; beyond it requests are shed "
                              "oldest-deadline-first")
-    parser.add_argument("--max-concurrent-batches", type=int, default=2)
+    parser.add_argument("--max-concurrent-batches", type=int, default=None,
+                        help="batches in flight at once (default: 2)")
     parser.add_argument("--default-deadline-ms", type=float, default=None,
                         help="deadline for requests without an X-Deadline-Ms "
                              "header (default: the service policy's timeout)")
@@ -53,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(service: AnnotationService, config: GatewayConfig) -> None:
     gateway = Gateway(service, config)
     await gateway.start()
+    _, max_wait_ms, _ = gateway.batching_policy()
     print(f"gateway serving http://{config.host}:{gateway.port} "
-          f"(queue={config.max_queue}, max_wait={config.max_wait_ms}ms) — "
+          f"(queue={config.max_queue}, max_wait={max_wait_ms:g}ms) — "
           "SIGTERM drains gracefully", flush=True)
     await gateway.serve_forever(install_signals=True, close_service=True)
 

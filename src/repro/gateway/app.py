@@ -77,14 +77,19 @@ __all__ = ["GatewayConfig", "Gateway", "status_for"]
 class GatewayConfig:
     """Deployment knobs of one gateway process (all overload policy).
 
-    ``max_batch`` / ``max_wait_ms``
+    ``max_batch`` / ``max_wait_ms`` / ``max_concurrent_batches``
         Micro-batching: coalesce up to ``max_batch`` requests, holding the
-        first at most ``max_wait_ms`` (defaults: the service's own
-        ``max_batch``; 5 ms).
+        first at most ``max_wait_ms``, with at most ``max_concurrent_batches``
+        ``annotate_batch`` calls in flight.  ``None`` derives each from the
+        service seat (:meth:`Gateway.batching_policy`).  ``max_batch`` is the
+        seat's own ``max_batch``.  A seat with ``replicas`` (a
+        :class:`~repro.fleet.router.FleetRouter`) gets one batch slot per
+        replica and no window: holding a batch open would leave replicas
+        idle.  Any other seat (one GIL-bound ``AnnotationService``) gets 2
+        slots and a 5 ms window, which is what keeps it inside its
+        deadlines under overload.  An explicit value always wins.
     ``max_queue``
         Admission bound — requests beyond it are shed oldest-deadline-first.
-    ``max_concurrent_batches``
-        Concurrency limiter on in-flight ``annotate_batch`` calls.
     ``default_deadline_ms``
         Deadline for requests without an ``X-Deadline-Ms`` header; ``None``
         falls back to the service policy's ``timeout_s`` (so an unadorned
@@ -97,9 +102,9 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch: int | None = None
-    max_wait_ms: float = 5.0
+    max_wait_ms: float | None = None
     max_queue: int = 256
-    max_concurrent_batches: int = 2
+    max_concurrent_batches: int | None = None
     default_deadline_ms: float | None = None
     max_body_bytes: int = 8 * 1024 * 1024
     retry_after_s: float = 1.0
@@ -184,17 +189,33 @@ class Gateway:
         timeout_s = getattr(policy, "timeout_s", None)
         return None if timeout_s is None else timeout_s * 1e3
 
+    def batching_policy(self) -> tuple[int, float, int]:
+        """The effective ``(max_batch, max_wait_ms, max_concurrent_batches)``.
+
+        Unset config fields derive from the seat (see :class:`GatewayConfig`).
+        """
+        config = self.config
+        replicas = getattr(self.service, "replicas", None)
+        max_batch = config.max_batch or getattr(self.service, "max_batch", 16)
+        max_wait_ms = config.max_wait_ms
+        if max_wait_ms is None:
+            max_wait_ms = 5.0 if replicas is None else 0.0
+        slots = config.max_concurrent_batches
+        if slots is None:
+            slots = 2 if replicas is None else replicas
+        return max_batch, max_wait_ms, slots
+
     async def start(self) -> None:
         """Bind the listener and start the batcher; returns once serving."""
         if self._state != "idle":
             raise RuntimeError(f"gateway already {self._state}")
-        max_batch = self.config.max_batch or getattr(self.service, "max_batch", 16)
+        max_batch, max_wait_ms, slots = self.batching_policy()
         self._queue = AdmissionQueue(self.config.max_queue, clock=self._clock)
         self._batcher = MicroBatcher(
             self._annotate_blocking, self._queue,
             max_batch=max_batch,
-            max_wait_s=self.config.max_wait_ms / 1e3,
-            max_concurrent_batches=self.config.max_concurrent_batches,
+            max_wait_s=max_wait_ms / 1e3,
+            max_concurrent_batches=slots,
             clock=self._clock,
         )
         self._batcher_task = asyncio.create_task(self._batcher.run())

@@ -69,6 +69,7 @@ class MicroBatcher:
         self._queue = queue
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
+        self.max_concurrent_batches = max_concurrent_batches
         self._clock = clock
         self._slots = asyncio.Semaphore(max_concurrent_batches)
         self._tasks: set[asyncio.Task] = set()
@@ -90,6 +91,9 @@ class MicroBatcher:
             "batch_errors": self.batch_errors,
             "mean_batch_size": round(self.mean_batch_size, 3),
             "max_batch_size": self.max_coalesced,
+            # The effective policy, so operators can see what was derived.
+            "max_concurrent_batches": self.max_concurrent_batches,
+            "max_wait_ms": self.max_wait_s * 1e3,
         }
 
     # ------------------------------------------------------------------ #

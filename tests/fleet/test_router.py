@@ -12,7 +12,9 @@ import pytest
 from repro.core.errors import ReplicaUnavailable, ServiceClosed
 from repro.fleet import FleetRouter, ReplicaSupervisor, ThreadLauncher
 from repro.fleet.supervisor import FleetMember
+from repro.gateway import Gateway, GatewayConfig
 from repro.runtime.resilience import CircuitBreaker, RuntimePolicy
+from repro.serve import AnnotationService
 
 from tests.fleet.util import FakeService, make_tables, start_fleet
 from tests.gateway.util import FakeClock, get, post_annotate, running_gateway
@@ -449,6 +451,53 @@ class TestGatewaySeam:
                 assert response.json()["error"] == "ReplicaUnavailable"
                 assert "retry-after" in response.headers
         asyncio.run(main())
+
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_one_batch_in_flight_per_replica(self, replicas):
+        release = threading.Event()
+        entered = threading.Semaphore(0)
+
+        def held(tables, budget_s):
+            entered.release()
+            assert release.wait(10.0)
+            return [["held"] for _ in tables]
+
+        async def main():
+            launcher, _supervisor, router = start_fleet(
+                replicas, service_factory=lambda name: FakeService(name, annotate=held))
+            assert router.replicas == replicas
+            async with running_gateway(router) as gateway:
+                stats = gateway.stats()
+                assert stats["max_wait_ms"] == 0.0
+                assert stats["max_concurrent_batches"] == replicas
+                requests = []
+                try:
+                    for index in range(replicas):
+                        requests.append(asyncio.create_task(post_annotate(
+                            gateway, make_tables(1, prefix=f"r{index}-")[0])))
+                        # Dispatched while the earlier requests still hold
+                        # their replicas: no window, and a free slot each.
+                        assert await asyncio.to_thread(entered.acquire, timeout=5.0)
+                finally:
+                    release.set()
+                responses = await asyncio.gather(*requests)
+                assert [response.status for response in responses] == [200] * replicas
+            # Least-outstanding routing spread them: one table per replica.
+            assert [[count for count, _ in handle.service.calls]
+                    for handle in launcher.launched] == [[1]] * replicas
+        asyncio.run(main())
+
+    def test_explicit_config_wins_over_the_fleet_policy(self):
+        _launcher, _supervisor, router = start_fleet(2)
+        with router:
+            gateway = Gateway(router, GatewayConfig(
+                max_wait_ms=5.0, max_concurrent_batches=1))
+            assert gateway.batching_policy() == (router.max_batch, 5.0, 1)
+
+    def test_single_service_seat_keeps_the_window(self, fleet_bundle):
+        with AnnotationService.load(fleet_bundle) as service:
+            gateway = Gateway(service, GatewayConfig())
+            assert gateway.batching_policy() == (service.max_batch, 5.0, 2)
 
     def test_stats_and_metrics_surface_fleet_counters(self):
         async def main():

@@ -452,6 +452,25 @@ class TestDrain:
         asyncio.run(main())
 
 
+class TestBatchingPolicy:
+    def test_single_service_keeps_window_and_two_slots(self):
+        async def main():
+            async with running_gateway(FakeService(max_batch=8)) as gateway:
+                assert gateway.batching_policy() == (8, 5.0, 2)
+                stats = (await get(gateway, "/stats")).json()["gateway"]
+                assert stats["max_wait_ms"] == 5.0
+                assert stats["max_concurrent_batches"] == 2
+                text = (await get(gateway, "/metrics")).body.decode()
+                assert "kglink_gateway_max_wait_ms 5" in text
+                assert "kglink_gateway_max_concurrent_batches 2" in text
+        asyncio.run(main())
+
+    def test_explicit_config_wins(self):
+        gateway = Gateway(FakeService(), GatewayConfig(
+            max_batch=4, max_wait_ms=0.0, max_concurrent_batches=3))
+        assert gateway.batching_policy() == (4, 0.0, 3)
+
+
 class TestLifecycle:
     def test_port_requires_start(self):
         gateway = Gateway(FakeService())
