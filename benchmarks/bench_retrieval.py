@@ -20,16 +20,13 @@ scale at which the paper resorts to Elasticsearch), then times
 * serving throughput: a tiny trained system exported through
   ``KGLinkAnnotator.into_service()`` and hit with the same tables as a
   one-table ``annotate()`` loop vs one ``annotate_batch()`` request (the
-  Part-1 cache is pre-warmed, so the ratio isolates Part-2 micro-batching),
-  plus a cold-cache ``annotate_batch`` with the Part-1 prepare stage on a
-  process pool vs serial in-process preparation.
+  Part-1 cache is pre-warmed, so the ratio isolates Part-2 micro-batching).
 
-The pool-backed ratios (``sharded_search_speedup``,
-``process_pool_annotate_speedup``) depend on how many cores the host grants;
-the worker counts used are recorded next to the numbers.  On a single-core
-box both ratios hover at or below 1.0 — the benchmark then documents the
-fan-out overhead rather than a win, and the CI gate simply holds future PRs
-to whatever the committed baseline machine achieved.
+The pool-backed ratio (``sharded_search_speedup``) depends on how many cores
+the host grants; the worker count used is recorded next to the number.  On a
+single-core box the ratio hovers at or below 1.0 — the benchmark then
+documents the fan-out overhead rather than a win, and the CI gate simply
+holds future PRs to whatever the committed baseline machine achieved.
 
 Results are written as JSON (``scripts/run_benchmarks.sh`` commits them to
 ``BENCH_retrieval.json``) so the performance trajectory is tracked per PR.
@@ -229,32 +226,6 @@ def run_serving(seed: int, n_tables: int = 64, max_batch: int = 16) -> dict:
     batch_rate = len(serve_tables) / batch_seconds
     stats = service.stats()
 
-    # Cold-cache annotate_batch with the Part-1 prepare stage on a process
-    # pool vs serial in-process preparation.  cache_size=0 forces the full
-    # Part-1 + serialisation work on every request, which is exactly the
-    # stage the pool distributes.  Capped at 2 workers so the CI-gated ratio
-    # varies as little as possible between hosts with different core counts
-    # (any machine with >= 2 free cores measures roughly the same thing).
-    workers = default_worker_count(cap=2)
-    serial_service = annotator.into_service(max_batch=max_batch, cache_size=0)
-    pool_service = annotator.into_service(
-        max_batch=max_batch, cache_size=0, processes=workers
-    )
-    with pool_service:
-        pooled = pool_service.annotate_batch(serve_tables)  # warm the pool
-        serial_seconds = float("inf")
-        pool_seconds = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            serial_annotated = serial_service.annotate_batch(serve_tables)
-            serial_seconds = min(serial_seconds, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            pooled = pool_service.annotate_batch(serve_tables)
-            pool_seconds = min(pool_seconds, time.perf_counter() - start)
-        assert pooled == warm and serial_annotated == warm, \
-            "process-pool serving diverged"
-
     return {
         "n_tables": len(serve_tables),
         "max_batch": max_batch,
@@ -263,12 +234,6 @@ def run_serving(seed: int, n_tables: int = 64, max_batch: int = 16) -> dict:
         "batch_vs_loop_speedup": round(batch_rate / loop_rate, 2),
         "bucket_fill": round(stats.bucket_fill, 3),
         "part1_cache_hit_rate": round(stats.cache_hit_rate, 3),
-        "prepare_workers": workers,
-        "tables_per_second_cold_serial": round(
-            len(serve_tables) / serial_seconds, 1
-        ),
-        "tables_per_second_cold_pool": round(len(serve_tables) / pool_seconds, 1),
-        "process_pool_annotate_speedup": round(serial_seconds / pool_seconds, 2),
     }
 
 

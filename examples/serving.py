@@ -13,9 +13,8 @@ The serving-first flow introduced by ``repro.serve``:
    ``annotate`` / ``annotate_batch`` / ``annotate_stream``;
 5. watch the per-request telemetry (``service.stats()``);
 6. scale out: re-shard the bundled index across a ``ShardedBackend``
-   (results stay bitwise-identical) and move the Part-1 prepare stage onto
-   a process pool (``processes=N``) — both are configuration, not code;
-7. operate under failure: script a deterministic worker crash with
+   (results stay bitwise-identical) — configuration, not code;
+7. operate under failure: script a deterministic shard-worker crash with
    ``FaultPlan`` / ``FaultyExecutor`` and watch the ``RuntimePolicy``
    (deadlines, retries, circuit breakers) absorb it — ``service.health()``
    reports ``degraded`` while the answers stay bitwise-identical;
@@ -47,6 +46,7 @@ from repro.data import SemTabConfig, SemTabGenerator, stratified_split
 from repro.fleet import FleetRouter, ProcessLauncher, ReplicaSupervisor
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig, HttpConnection
 from repro.kg import KGWorldConfig, build_default_kg
+from repro.kg.backends import ShardedBackend
 from repro.runtime import (
     FaultPlan,
     FaultyExecutor,
@@ -91,7 +91,7 @@ def main() -> None:
     print(f"   {len(tables) / elapsed:.0f} tables/s; "
           f"first table -> {predictions[0]}")
 
-    print("5) the same tables as a stream (Part 1 pipelined against the PLM) ...")
+    print("5) the same tables as a stream (one micro-batch at a time) ...")
     start = time.perf_counter()
     streamed = list(service.annotate_stream(iter(tables), max_batch=8))
     elapsed = time.perf_counter() - start
@@ -107,55 +107,58 @@ def main() -> None:
           f"cache hit rate {stats.cache_hit_rate:.0%}")
 
     workers = default_worker_count(cap=4)
-    print(f"7) serving at scale: {max(2, workers)}-shard index + "
-          f"{workers}-process Part-1 pool (this host grants {workers} "
-          "worker(s)) ...")
+    shards = max(2, workers)
+    print(f"7) serving at scale: {shards}-shard index searched by "
+          f"{workers} worker process(es) ...")
     bundle = ServiceBundle.load(bundle_dir)
     # The shard plan is configuration: re-shard the same bundle without
     # touching it on disk.  Results stay bitwise-identical to step 4.
     bundle.linker_config = dataclasses.replace(
-        bundle.linker_config, num_shards=max(2, workers), executor="process"
+        bundle.linker_config, num_shards=shards, executor="process"
     )
-    with AnnotationService(bundle, max_batch=16, cache_size=0,
-                           processes=workers) as fleet:
-        warm = fleet.annotate_batch(tables)  # spin up both pools
+    with AnnotationService(bundle, max_batch=16, cache_size=0) as sharded:
+        warm = sharded.annotate_batch(tables)  # spin up the shard pool
         assert warm == predictions, "sharded serving must be bitwise-identical"
         start = time.perf_counter()
-        fleet.annotate_batch(tables)  # cold Part-1 every time (cache off)
+        sharded.annotate_batch(tables)  # cold Part-1 every time (cache off)
         elapsed = time.perf_counter() - start
         print(f"   {len(tables) / elapsed:.0f} tables/s cold (full Part 1 + "
               "PLM on every request), identical results")
 
-        start = time.perf_counter()
-        streamed = list(fleet.annotate_stream(iter(tables), max_batch=8))
-        elapsed = time.perf_counter() - start
-        assert streamed == predictions
-        print(f"   {len(tables) / elapsed:.0f} tables/s streamed (Part 1 of "
-              "batch i+1 overlaps PLM of batch i across processes)")
-
-    print("8) operating under failure: crash a prepare worker on the first "
+    print("8) operating under failure: crash a shard worker on the first "
           "call ...")
     policy = RuntimePolicy(timeout_s=30.0, max_retries=2, breaker_threshold=3)
-    # The crash is scripted, deterministic and injected at the dispatch
-    # boundary — no real process is killed, yet the service sees exactly
-    # what a dead pool worker looks like (BrokenProcessPool).
+    # The crash is scripted, deterministic and injected at the shard
+    # dispatch boundary — no real process is killed, yet the service sees
+    # exactly what a dead pool worker looks like (BrokenProcessPool).
     plan = FaultPlan(seed=0).crash_worker(times=1)
-    chaotic = FaultyExecutor(create_executor("process", max_workers=workers),
-                             plan)
-    with AnnotationService.load(bundle_dir, max_batch=16, cache_size=0,
-                                executor=chaotic, policy=policy) as survivor:
-        shaken = survivor.annotate_batch(tables)  # crash -> respawn -> retry
-        assert shaken == predictions, "degraded serving must stay identical"
-        health = survivor.health()
-        stats = survivor.stats()
-        print(f"   health={health.status} ({'; '.join(health.reasons)})")
-        print(f"   worker_crashes={stats.worker_crashes}  "
-              f"retries={stats.retries}  fallbacks={stats.fallbacks}  "
-              "— answers identical to step 4")
-        survivor.reset_stats()
-        assert survivor.annotate_batch(tables) == predictions
-        print(f"   after reset_stats(): health={survivor.health().status} "
-              "(the crash was transient; the respawned pool is serving)")
+    bundle = ServiceBundle.load(bundle_dir)
+    chaotic = ShardedBackend(
+        bundle.backend, num_shards=shards,
+        executor=FaultyExecutor(create_executor("process", max_workers=workers),
+                                plan),
+        policy=policy,
+    )
+    bundle.backend = chaotic
+    try:
+        with AnnotationService(bundle, max_batch=16, cache_size=0,
+                               policy=policy) as survivor:
+            shaken = survivor.annotate_batch(tables)  # crash -> respawn -> retry
+            assert shaken == predictions, "degraded serving must stay identical"
+            health = survivor.health()
+            stats = survivor.stats()
+            print(f"   health={health.status} ({'; '.join(health.reasons)})")
+            print(f"   worker_crashes={stats.worker_crashes}  "
+                  f"retries={stats.retries}  fallbacks={stats.fallbacks}  "
+                  "— answers identical to step 4")
+            survivor.reset_stats()
+            assert survivor.annotate_batch(tables) == predictions
+            print(f"   after reset_stats(): health={survivor.health().status} "
+                  "(the crash was transient)")
+    finally:
+        # A pre-sharded index stays ours: the service searched through it
+        # but leaves its worker pool running.
+        chaotic.close()
 
     print("9) fronting the service with the async gateway "
           "(mixed-deadline traffic) ...")

@@ -319,22 +319,17 @@ class KGLinkAnnotator:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def into_service(self, max_batch: int = 16, cache_size: int = 1024,
-                     processes: int = 0, executor=None):
+    def into_service(self, max_batch: int = 16, cache_size: int = 1024):
         """Export this fitted annotator as a serving-shaped front door.
 
         Returns a :class:`~repro.serve.service.AnnotationService` built on an
         in-memory :class:`~repro.serve.bundle.ServiceBundle`: the compiled
         retrieval index, a graph snapshot, the tokenizer, the label
         vocabulary and the model weights — everything ``bundle.save()``
-        would persist.  ``processes``/``executor`` configure the service's
-        Part-1 prepare stage (see :class:`AnnotationService`).  The annotator
-        keeps working as the training facade.
+        would persist.  The annotator keeps working as the training facade.
         """
         from repro.serve.bundle import ServiceBundle
         from repro.serve.service import AnnotationService
 
-        return AnnotationService(
-            ServiceBundle.from_annotator(self), max_batch=max_batch,
-            cache_size=cache_size, processes=processes, executor=executor,
-        )
+        return AnnotationService(ServiceBundle.from_annotator(self),
+                                 max_batch=max_batch, cache_size=cache_size)

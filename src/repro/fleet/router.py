@@ -93,7 +93,7 @@ class FleetStats:
     def to_dict(self) -> dict:
         """Flat JSON-safe counters; cache and supervisor namespaced by prefix
         so the gateway's ``/metrics`` endpoint (numeric values only) can emit
-        every key as a gauge."""
+        every key."""
         payload = {
             "requests": int(self.requests),
             "tables": int(self.tables),
@@ -108,8 +108,6 @@ class FleetStats:
         for key, value in self.supervisor.items():
             payload[f"fleet_{key}"] = int(value)
         return payload
-
-    as_dict = to_dict
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,6 @@ class FleetHealth:
             "breakers": {str(name): str(state)
                          for name, state in self.breakers.items()},
         }
-
-    as_dict = to_dict
 
 
 class FleetRouter:

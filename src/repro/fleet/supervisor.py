@@ -139,9 +139,9 @@ class ProcessLauncher:
 
     ``service_kwargs`` is forwarded to
     :meth:`~repro.serve.service.AnnotationService.load` in the child
-    (``max_batch``, ``cache_size``, ``processes`` — though replica processes
-    should normally keep ``processes=0``: the fleet already is the process
-    pool).  Readiness is a pipe handshake: the child reports its bound port,
+    (``max_batch``, ``cache_size``, ``policy``); each replica prepares Part 1
+    serially in its own process, so the fleet is the process pool.
+    Readiness is a pipe handshake: the child reports its bound port,
     or the error that kept it from loading; silence past
     ``ready_timeout_s`` is a failed launch either way.
     """

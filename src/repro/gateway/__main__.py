@@ -2,11 +2,11 @@
 
 Usage::
 
-    python -m repro.gateway --bundle bundle/ --port 8080 --processes 2
+    python -m repro.gateway --bundle bundle/ --port 8080
 
 The process serves until ``SIGTERM``/``SIGINT``, then drains gracefully:
 intake stops, admitted requests are answered, in-flight batches finish, and
-the service (with its worker pools) is closed.
+the service (with its shard pool, if any) is closed.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--default-deadline-ms", type=float, default=None,
                         help="deadline for requests without an X-Deadline-Ms "
                              "header (default: the service policy's timeout)")
-    parser.add_argument("--processes", type=int, default=0,
-                        help="Part-1 prepare process-pool size")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="prepared-table LRU bound (0 disables)")
     parser.add_argument("--service-max-batch", type=int, default=16,
@@ -64,8 +62,7 @@ async def _serve(service: AnnotationService, config: GatewayConfig) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     service = AnnotationService.load(
-        args.bundle, max_batch=args.service_max_batch,
-        cache_size=args.cache_size, processes=args.processes,
+        args.bundle, max_batch=args.service_max_batch, cache_size=args.cache_size,
     )
     config = GatewayConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,

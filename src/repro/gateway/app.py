@@ -72,6 +72,27 @@ from repro.gateway.http import (
 
 __all__ = ["GatewayConfig", "Gateway", "status_for"]
 
+#: ``/metrics`` names (without their ``kglink_<tier>_`` prefix) exposed as
+#: Prometheus counters: monotonic totals since start or the last
+#: ``reset_stats``.  Every other numeric value — levels, ratios and the
+#: effective batching policy — is a gauge.
+_COUNTER_METRICS = frozenset({
+    # gateway and micro-batcher
+    "requests", "completed", "errors", "rejected_draining",
+    "expired_at_admission", "expired_in_flight", "admitted",
+    "shed_queue_full", "shed_expired", "batches", "batched_tables",
+    "batch_errors",
+    # AnnotationService
+    "tables", "part1_seconds", "encode_seconds", "useful_tokens",
+    "padded_tokens", "cache_hits", "cache_misses", "retries", "timeouts",
+    "worker_crashes", "fallbacks", "breaker_trips",
+    # FleetRouter
+    "dispatches", "failovers", "replica_errors", "rejected",
+    "results_cache_hits", "results_cache_misses", "results_cache_coalesced",
+    "results_cache_evictions", "fleet_spawned", "fleet_restarts",
+    "fleet_heartbeats", "fleet_heartbeat_failures", "fleet_gave_up",
+})
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -515,7 +536,8 @@ class Gateway:
             for name, value in sorted(payload.items()):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     continue
-                lines.append(f"# TYPE {prefix}_{name} gauge")
+                kind = "counter" if name in _COUNTER_METRICS else "gauge"
+                lines.append(f"# TYPE {prefix}_{name} {kind}")
                 lines.append(f"{prefix}_{name} {value:g}")
 
         emit("kglink_gateway", self.stats())

@@ -1,24 +1,22 @@
 """Pluggable execution backends for fan-out work (the ``SearchExecutor`` seam).
 
-The serving layer has two fan-out points with the same shape: sharded
-retrieval (``ShardedBackend`` sends every query batch to K index shards) and
-the Part-1 prepare stage of :class:`~repro.serve.service.AnnotationService`
-(candidate extraction + serialisation for a micro-batch of tables).  Both are
-"apply a pure function to independent tasks against some large shared state"
-problems, and both want the execution strategy to be configuration rather
-than code — one process per core on a serving box, plain threads where memory
-is tight, strictly serial in tests and notebooks.
+The serving layer's fan-out point is sharded retrieval (``ShardedBackend``
+sends every query batch to K index shards): "apply a pure function to
+independent tasks against some large shared state", where the execution
+strategy should be configuration rather than code — one process per core on
+a serving box, plain threads where memory is tight, strictly serial in tests
+and notebooks.
 
 :class:`SearchExecutor` is that seam:
 
-* ``configure(payload)`` installs the shared state (shard arrays, a prepare
-  spec) where task functions can reach it — in-process for ``serial`` and
-  ``thread``, via the pool initializer for ``process`` (so the payload
-  crosses the process boundary **once**, not per task);
+* ``configure(payload)`` installs the shared state (shard arrays) where task
+  functions can reach it — in-process for ``serial`` and ``thread``, via the
+  pool initializer for ``process`` (so the payload crosses the process
+  boundary **once**, not per task);
 * ``map(fn, tasks)`` applies ``fn(payload, task)`` to every task and returns
   results in task order;
-* ``submit(fn, task)`` is the async variant used to pipeline stages (Part-1
-  of micro-batch *i+1* against PLM inference of micro-batch *i*);
+* ``submit(fn, task)`` is the async variant: the sharded index submits every
+  shard's search before collecting any, so the shards run concurrently;
 * ``recover()`` discards dead workers so the next call gets a live pool — a
   no-op for ``serial``, a pool respawn for ``thread``/``process``.  The
   resilience layer (:mod:`repro.runtime.resilience`) calls it when it catches
@@ -130,7 +128,7 @@ class SerialExecutor:
     """Run every task inline on the calling thread (the test/debug default).
 
     ``submit`` executes eagerly and returns an already-resolved future, so
-    pipelined call sites degrade to strict alternation with no extra threads.
+    fan-out call sites degrade to strict sequence with no extra threads.
     """
 
     executor_name: ClassVar[str] = "serial"

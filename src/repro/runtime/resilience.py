@@ -234,17 +234,16 @@ class _ResilientFuture:
 
     The inner future is submitted eagerly (so independent tasks genuinely
     overlap); deadlines, retries and fallback classification happen when the
-    caller collects the result, which is also where the repo's pipelined call
+    caller collects the result, which is also where the repo's fan-out call
     sites already block.
     """
 
     def __init__(self, executor: ResilientExecutor, fn, task,
-                 inner: Future | None, deadline_s: float | None = None):
+                 inner: Future | None):
         self._executor = executor
         self._fn = fn
         self._task = task
         self._inner = inner
-        self._deadline_s = deadline_s
         self._resolved = False
         self._result: Any = None
         self._error: BaseException | None = None
@@ -253,9 +252,7 @@ class _ResilientFuture:
         if self._resolved:
             return
         try:
-            self._result = self._executor._await(
-                self._fn, self._task, self._inner, deadline_s=self._deadline_s
-            )
+            self._result = self._executor._await(self._fn, self._task, self._inner)
         # repro: allow[REP104] -- future semantics: the error is stored and
         # re-raised to the caller inside result()
         except BaseException as error:
@@ -340,16 +337,8 @@ class ResilientExecutor:
         return [self._await(fn, task, future)
                 for task, future in zip(tasks, futures, strict=True)]
 
-    def submit(self, fn, task, deadline_s: float | None = None) -> _ResilientFuture:
-        """Submit one task; ``deadline_s`` is an *absolute* clock reading.
-
-        When given, it caps every attempt's wait (and the retry backoff) so
-        the whole retry budget fits the caller's remaining request budget —
-        this is how a per-request deadline from the gateway tightens the
-        policy's per-task ``timeout_s`` instead of being ignored by it.
-        """
-        return _ResilientFuture(self, fn, task, self._submit_if_allowed(fn, task),
-                                deadline_s=deadline_s)
+    def submit(self, fn, task) -> _ResilientFuture:
+        return _ResilientFuture(self, fn, task, self._submit_if_allowed(fn, task))
 
     def recover(self) -> None:
         self._inner.recover()
@@ -400,24 +389,14 @@ class ResilientExecutor:
             return None
         return self._inner.submit(fn, task)
 
-    def run(self, fn, task, deadline_s: float | None = None):
+    def run(self, fn, task):
         """Run one task with the full deadline/retry/breaker treatment."""
-        return self._await(fn, task, self._submit_if_allowed(fn, task),
-                           deadline_s=deadline_s)
+        return self._await(fn, task, self._submit_if_allowed(fn, task))
 
-    def _await(self, fn, task, future: Future | None,
-               deadline_s: float | None = None):
+    def _await(self, fn, task, future: Future | None):
         breaker = self.breaker_for(self._target_of(task))
         attempt = 0
         while True:
-            remaining: float | None = None
-            if deadline_s is not None:
-                remaining = deadline_s - self._clock()
-                if remaining <= 0:
-                    self.stats.increment("timeouts")
-                    raise DeadlineExceeded(
-                        f"request budget exhausted before task {task!r} could run"
-                    )
             if future is None:
                 if not breaker.allow():
                     self.stats.increment("breaker_skips")
@@ -426,18 +405,13 @@ class ResilientExecutor:
                         f"(>= {breaker.threshold} consecutive failures)"
                     )
                 future = self._inner.submit(fn, task)
-            # The per-attempt wait is the policy's per-task deadline tightened
-            # by whatever is left of the caller's request budget.
-            wait_s = self.policy.timeout_s
-            if remaining is not None:
-                wait_s = remaining if wait_s is None else min(wait_s, remaining)
             try:
-                result = future.result(timeout=wait_s)
+                result = future.result(timeout=self.policy.timeout_s)
             except (FuturesTimeout, TimeoutError) as exc:
                 future.cancel()  # best effort; a running task is abandoned
                 self.stats.increment("timeouts")
                 error: BaseException = DeadlineExceeded(
-                    f"task exceeded its {wait_s}s deadline"
+                    f"task exceeded its {self.policy.timeout_s}s deadline"
                 )
                 error.__cause__ = exc
             except DeadlineExceeded as exc:
@@ -462,10 +436,5 @@ class ResilientExecutor:
                 raise error
             attempt += 1
             self.stats.increment("retries")
-            backoff = self.backoff_s(attempt)
-            if deadline_s is not None:
-                # Never sleep past the caller's budget; the loop top raises
-                # DeadlineExceeded if the budget is gone when we wake.
-                backoff = min(backoff, max(0.0, deadline_s - self._clock()))
-            self._sleep(backoff)
+            self._sleep(self.backoff_s(attempt))
             future = None

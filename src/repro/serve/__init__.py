@@ -12,14 +12,15 @@ into something a production process can load and hit with traffic:
   ``annotate`` / ``annotate_batch`` / ``annotate_stream`` micro-batch tables
   through the length-bucketed prediction path under ``no_grad`` and report
   per-request telemetry (:class:`~repro.serve.service.ServiceStats`).
-  Scaling is configuration: the bundle's shard plan re-shards the retrieval
-  index through a :class:`~repro.kg.backends.ShardedBackend`
-  (bitwise-identical results) and ``processes=N`` moves Part-1 preparation
-  onto a process pool via the :mod:`repro.runtime` executors.  Partial
-  failures degrade instead of erroring: a
-  :class:`~repro.runtime.RuntimePolicy` governs deadlines, retries and
-  circuit breakers on both fan-out paths, failed work falls back to serial
-  in-process execution (annotations stay bitwise-identical), and
+  Part-1 preparation runs serially in the service's process; the bundle's
+  shard plan re-shards the retrieval index through a
+  :class:`~repro.kg.backends.ShardedBackend` (bitwise-identical results),
+  and more processes come from replicating whole services behind a
+  :mod:`repro.fleet` router.  Partial failures degrade instead of
+  erroring: a :class:`~repro.runtime.RuntimePolicy` governs deadlines,
+  retries and circuit breakers on the shard fan-out, a failed shard search
+  falls back to serial in-process execution (annotations stay
+  bitwise-identical), and
   :meth:`~repro.serve.service.AnnotationService.health` reports
   ``healthy`` / ``degraded`` / ``failed`` with reasons
   (:class:`~repro.serve.service.ServiceHealth`).

@@ -11,17 +11,12 @@ into the existing inference machinery:
   index shards;
 * Part-2 inference micro-batches tables through the length-bucketed
   :meth:`~repro.core.trainer.KGLinkTrainer.predict` path under ``no_grad``;
-* the Part-1 prepare stage (candidate extraction + serialisation) can be
-  delegated to a :class:`~repro.runtime.SearchExecutor` — pass
-  ``processes=N`` for a process pool whose workers each hold their own copy
-  of the Part-1 machinery (built once from a picklable spec shipped through
-  the pool initializer), or inject any executor.  ``processes=0`` (the
-  default) prepares serially in-process, exactly as before;
-* :meth:`AnnotationService.annotate_stream` pipelines the stages: Part-1 of
-  micro-batch *i+1* is submitted to the executor while the main thread runs
-  PLM inference for micro-batch *i* — with a process executor the two stages
-  genuinely overlap (numpy only releases the GIL inside BLAS, so the old
-  single-worker-thread overlap was partial at best);
+* the Part-1 prepare stage (candidate extraction + serialisation) runs
+  serially in the calling process.  One service is one process's worth of
+  work: to use more processes, run replicas behind a
+  :class:`~repro.fleet.FleetRouter`;
+* :meth:`AnnotationService.annotate_stream` consumes a (possibly unbounded)
+  stream one micro-batch at a time, alternating Part 1 and PLM inference;
 * prepared tables (Part-1 output serialised into model-ready arrays) are
   memoised in a bounded :class:`~repro.core.cache.LRUCache` keyed by table
   content (:func:`~repro.data.table.table_key`, so a client reusing an id
@@ -29,12 +24,13 @@ into the existing inference machinery:
   request skips candidate extraction *and* serialisation — and
   :meth:`AnnotationService.stats` reports per-request telemetry
   (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits,
-  plus fault counters: retries, timeouts, worker crashes, fallbacks);
-* partial failures degrade instead of killing the request: the prepare
-  executor runs behind a :class:`~repro.runtime.ResilientExecutor`
-  (deadlines, bounded retries, a circuit breaker) configured by a
-  :class:`~repro.runtime.RuntimePolicy`, a chunk whose dispatch still fails
-  is prepared serially in-process (identical code path, so annotations stay
+  plus the sharded index's fault counters: retries, timeouts, worker
+  crashes, fallbacks);
+* partial failures degrade instead of killing the request: a sharded
+  index's searches run behind a :class:`~repro.runtime.ResilientExecutor`
+  (deadlines, bounded retries, per-shard circuit breakers) configured by a
+  :class:`~repro.runtime.RuntimePolicy`, a shard whose dispatch still fails
+  is searched serially in-process (identical code path, so annotations stay
   bitwise-identical), and :meth:`AnnotationService.health` reports
   ``healthy`` / ``degraded`` / ``failed`` with reasons.  The policy travels
   with saved bundles as optional manifest metadata.
@@ -51,13 +47,10 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.core.cache import LRUCache
 from repro.core.errors import DeadlineExceeded, ServiceClosed
@@ -65,17 +58,12 @@ from repro.core.pipeline import KGCandidateExtractor
 from repro.core.serialization import TableSerializer
 from repro.core.trainer import KGLinkTrainer, PreparedExample
 from repro.data.table import Table, table_key
-from repro.kg.backends import ShardedBackend, restore_backend, shard_boundaries
-from repro.kg.linker import EntityLinker, LinkerConfig
-from repro.kg.snapshot import KGSnapshot
-from repro.runtime import ProcessExecutor, SearchExecutor
-from repro.runtime.resilience import ResilienceStats, ResilientExecutor, RuntimePolicy
+from repro.kg.backends import ShardedBackend
+from repro.kg.linker import EntityLinker
+from repro.runtime.resilience import ResilienceStats, RuntimePolicy
 from repro.serve.bundle import ServiceBundle
 
 __all__ = ["ServiceStats", "ServiceHealth", "AnnotationService"]
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotator -> serve)
-    from repro.core.annotator import KGLinkConfig
 
 
 @dataclass(frozen=True)
@@ -92,8 +80,8 @@ class ServiceStats:
     cache_hits: int
     cache_misses: int
     cache_size: int
-    # Fault counters (since start or the last reset_stats), aggregated across
-    # the prepare path and the sharded retrieval path.
+    # Fault counters of the sharded retrieval path (since start or the last
+    # reset_stats); all zero when the index is not sharded.
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
@@ -141,9 +129,6 @@ class ServiceStats:
             "breaker_trips": int(self.breaker_trips),
         }
 
-    # Backwards-compatible alias (the pre-gateway name).
-    as_dict = to_dict
-
 
 @dataclass(frozen=True)
 class ServiceHealth:
@@ -153,9 +138,8 @@ class ServiceHealth:
     service is answering, but breakers are open and/or fallbacks, retries or
     timeouts have been counted since the last stats reset — annotations stay
     bitwise-identical, only latency suffers) or ``"failed"`` (the service
-    cannot answer: it was closed, or even the serial in-process fallback
-    died).  ``reasons`` says why, ``breakers`` maps each breaker target to
-    its current state.
+    was closed and cannot answer).  ``reasons`` says why, ``breakers`` maps
+    each breaker target to its current state.
     """
 
     status: str
@@ -176,102 +160,6 @@ class ServiceHealth:
                          for target, state in self.breakers.items()},
         }
 
-    # Backwards-compatible alias (the pre-gateway name).
-    as_dict = to_dict
-
-
-# --------------------------------------------------------------------------- #
-# the distributable Part-1 prepare stage
-# --------------------------------------------------------------------------- #
-@dataclass
-class _PreparerSpec:
-    """Everything a worker needs to rebuild the Part-1 prepare stage.
-
-    Shipped to executor workers exactly once (through the pool initializer),
-    so it must be picklable: plain configs, token lists, the compiled
-    retrieval arrays and the graph snapshot — never the model, which Part 1
-    does not touch.  Each worker (or worker thread) lazily builds one
-    :class:`_Part1Preparer` from it and keeps it for the life of the pool.
-    """
-
-    config: KGLinkConfig
-    label_vocabulary: list[str]
-    tokenizer_tokens: list[str]
-    linker_config: LinkerConfig
-    backend_name: str
-    backend_state: dict[str, np.ndarray]
-    graph_view: KGSnapshot
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_thread_local", None)
-        return state
-
-    def preparer(self) -> _Part1Preparer:
-        """The calling thread's preparer (built on first use).
-
-        Per-*thread* rather than per-spec because the Part-1 machinery
-        (retrieval score buffer, extractor caches) is not safe to share
-        between concurrently running tasks; in a process-pool worker there
-        is one task thread, so this is one preparer per process.
-        """
-        local = self.__dict__.get("_thread_local")
-        if local is None:
-            local = self.__dict__["_thread_local"] = threading.local()
-        preparer = getattr(local, "value", None)
-        if preparer is None:
-            preparer = local.value = _Part1Preparer.from_spec(self)
-        return preparer
-
-
-class _Part1Preparer:
-    """Stateless-by-contract Part-1 stage: tables in, prepared examples out."""
-
-    def __init__(self, extractor: KGCandidateExtractor, trainer: KGLinkTrainer):
-        self.extractor = extractor
-        self.trainer = trainer
-
-    @classmethod
-    def from_spec(cls, spec: _PreparerSpec) -> _Part1Preparer:
-        from repro.serve.bundle import tokenizer_from_tokens
-
-        tokenizer = tokenizer_from_tokens(spec.tokenizer_tokens)
-        backend = restore_backend(spec.backend_name, spec.backend_state)
-        # Workers never nest worker pools: each worker searches its full
-        # index copy serially, whatever the parent's shard plan says.
-        linker = EntityLinker(
-            config=replace(spec.linker_config, num_shards=1), index=backend
-        )
-        extractor = KGCandidateExtractor(
-            spec.graph_view, spec.config.part1_config(), linker=linker
-        )
-        serializer = TableSerializer(tokenizer, spec.config.serializer_config())
-        # Part-1 preparation needs the trainer's serialisation logic but not
-        # the model, which stays in the parent process.
-        trainer = KGLinkTrainer(
-            None, serializer, spec.label_vocabulary, spec.config.training_config()
-        )
-        return cls(extractor, trainer)
-
-    def prepare(self, tables: list[Table]) -> list[PreparedExample]:
-        return [
-            self.trainer.prepare_example(
-                self.extractor.process_table(table), with_ground_truth=False
-            )
-            for table in tables
-        ]
-
-
-def _prepare_chunk_task(spec: _PreparerSpec, tables: list[Table]
-                        ) -> list[PreparedExample]:
-    """Executor task: Part-1 + serialisation for one chunk of tables."""
-    return spec.preparer().prepare(tables)
-
-
-def _prepare_target(task) -> str:
-    """Breaker key of a prepare chunk: the whole pool is one target."""
-    return "prepare"
-
 
 class AnnotationService:
     """Serve column-type annotations from a loaded :class:`ServiceBundle`.
@@ -286,31 +174,17 @@ class AnnotationService:
         :meth:`annotate_stream`).
     cache_size:
         Bound of the processed-table LRU cache (``<= 0`` disables caching).
-    processes:
-        Size of the Part-1 process pool.  ``0`` (default) prepares serially
-        in-process; ``N > 0`` creates a
-        :class:`~repro.runtime.ProcessExecutor` with ``N`` workers, each
-        holding its own copy of the Part-1 machinery.
-    executor:
-        Inject a ready :class:`~repro.runtime.SearchExecutor` for the
-        prepare stage instead of ``processes`` (the service configures it
-        with its prepare spec and owns it from then on).
     policy:
         The :class:`~repro.runtime.RuntimePolicy` governing deadlines,
-        retries and circuit breakers on the prepare and shard-search paths.
-        Defaults to the policy saved in the bundle's metadata
-        (``runtime_policy``), or the stock policy when the bundle carries
-        none.
+        retries and circuit breakers on the shard-search path.  Defaults to
+        the policy saved in the bundle's metadata (``runtime_policy``), or
+        the stock policy when the bundle carries none.
     """
 
     def __init__(self, bundle: ServiceBundle, max_batch: int = 16,
-                 cache_size: int = 1024, processes: int = 0,
-                 executor: SearchExecutor | None = None,
-                 policy: RuntimePolicy | None = None):
+                 cache_size: int = 1024, policy: RuntimePolicy | None = None):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if processes < 0:
-            raise ValueError("processes must be non-negative")
         self.bundle = bundle
         self.max_batch = max_batch
         if policy is None:
@@ -330,23 +204,8 @@ class AnnotationService:
             bundle.model, self.serializer, bundle.label_vocabulary,
             config.training_config(),
         )
-        self._local_preparer = _Part1Preparer(self.extractor, self.trainer)
         bundle.model.eval()
         self._cache: LRUCache[str, PreparedExample] = LRUCache(maxsize=cache_size)
-        if executor is None and processes > 0:
-            executor = ProcessExecutor(max_workers=processes)
-        self._prepare_executor = executor
-        self._resilience = ResilienceStats()
-        if executor is not None:
-            executor.configure(self._preparer_spec())
-            # All prepare chunks share one breaker target: the pool either
-            # works or it doesn't, unlike shards which fail independently.
-            self._prepare_dispatch = ResilientExecutor(
-                executor, policy, target_of=_prepare_target,
-                stats=self._resilience,
-            )
-        else:
-            self._prepare_dispatch = None
         # close() drains: annotate calls register here while running, and
         # close() waits for the count to hit zero before tearing pools down.
         # (Condition's default lock is an RLock, so _ensure_open may
@@ -361,7 +220,6 @@ class AnnotationService:
         self._prepare_lock = threading.Lock()
         self._predict_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._fatal: str | None = None  # guarded-by: _stats_lock
         self._requests = 0  # guarded-by: _stats_lock
         self._tables = 0  # guarded-by: _stats_lock
         self._part1_seconds = 0.0  # guarded-by: _stats_lock
@@ -375,8 +233,7 @@ class AnnotationService:
     # ------------------------------------------------------------------ #
     @classmethod
     def load(cls, directory: str | Path, max_batch: int = 16,
-             cache_size: int = 1024, processes: int = 0,
-             executor: SearchExecutor | None = None,
+             cache_size: int = 1024,
              policy: RuntimePolicy | None = None) -> AnnotationService:
         """Start a service from a saved bundle directory.
 
@@ -386,8 +243,7 @@ class AnnotationService:
         snapshot.
         """
         return cls(ServiceBundle.load(directory), max_batch=max_batch,
-                   cache_size=cache_size, processes=processes,
-                   executor=executor, policy=policy)
+                   cache_size=cache_size, policy=policy)
 
     def save(self, directory: str | Path) -> Path:
         """Persist the underlying bundle (see :meth:`ServiceBundle.save`).
@@ -400,19 +256,18 @@ class AnnotationService:
         return self.bundle.save(directory)
 
     def close(self) -> None:
-        """Drain in-flight requests, then shut down owned worker pools.
+        """Drain in-flight requests, then shut down the owned shard pool.
 
         Closing is a two-phase drain rather than a race: the service first
         stops admitting (``annotate*`` calls arriving from here on raise
         :class:`~repro.core.errors.ServiceClosed`), then waits for every
         in-flight ``annotate``/``annotate_batch``/stream chunk to finish
-        before tearing down the prepare executor and the shard pool — a
-        concurrent request never sees its pool die under it.  Idempotent:
-        the second and later calls return immediately (without waiting for
-        the first call's drain).  Only pools this service brought into
-        existence are touched: a sharded index that arrived pre-wrapped in
-        the bundle (e.g. shared with a still-training annotator) keeps its
-        executor running.
+        before tearing down the shard pool — a concurrent request never sees
+        its pool die under it.  Idempotent: the second and later calls
+        return immediately (without waiting for the first call's drain).
+        Only a pool this service brought into existence is touched: a
+        sharded index that arrived pre-wrapped in the bundle (e.g. shared
+        with a still-training annotator) keeps its executor running.
         """
         with self._lifecycle:
             if self._closed:
@@ -420,8 +275,6 @@ class AnnotationService:
             self._closed = True
             while self._inflight:
                 self._lifecycle.wait()
-        if self._prepare_executor is not None:
-            self._prepare_executor.close()
         self.linker.close()
 
     def __enter__(self) -> AnnotationService:
@@ -464,155 +317,43 @@ class AnnotationService:
     def _check_deadline(deadline_s: float | None, stage: str) -> None:
         if deadline_s is not None and time.monotonic() > deadline_s:
             raise DeadlineExceeded(f"request budget exhausted {stage}")
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _preparer_spec(self) -> _PreparerSpec:
-        bundle = self.bundle
-        return _PreparerSpec(
-            config=bundle.config,
-            label_vocabulary=list(bundle.label_vocabulary),
-            tokenizer_tokens=list(bundle.tokenizer.vocabulary),
-            linker_config=bundle.linker_config,
-            backend_name=bundle.backend_name,
-            backend_state=bundle.backend.export_state(),
-            graph_view=KGSnapshot.from_graph(bundle.graph_view),
-        )
+    def _prepare(self, tables: list[Table]) -> list[PreparedExample]:
+        """Part 1 + serialisation for ``tables``, through the bounded LRU cache.
 
-    def _spawn_missing(self, missing: list[Table],
-                       deadline_s: float | None = None):
-        """Start Part-1 for uncached tables; returns a join() closure.
-
-        With an executor the tables are split into one chunk per worker and
-        submitted through the resilient dispatch (deadline, retries,
-        breaker); ``join()`` collects the results in order, and a chunk whose
-        dispatch still fails — or whose breaker is open — is prepared
-        serially in this process instead, so one sick pool degrades latency
-        without failing the request.  Without an executor (``processes=0``)
-        the work happens inline and ``join()`` is immediate — same contract,
-        zero indirection cost.
-        """
-        if not missing:
-            return lambda: []
-        dispatch = self._prepare_dispatch
-        if dispatch is None:
-            # Serial path: the same prepare stage the workers run, but
-            # against this process's own extractor/serializer.
-            prepared = self._local_preparer.prepare(missing)
-            return lambda: prepared
-        n_chunks = max(1, min(dispatch.workers, len(missing)))
-        chunks = [
-            missing[lo:hi]
-            for lo, hi in shard_boundaries(len(missing), n_chunks)
-            if hi > lo
-        ]
-        futures = [
-            dispatch.submit(_prepare_chunk_task, chunk, deadline_s=deadline_s)
-            for chunk in chunks
-        ]
-
-        def join() -> list[PreparedExample]:
-            examples: list[PreparedExample] = []
-            for chunk, future in zip(chunks, futures, strict=True):
-                try:
-                    examples.extend(future.result())
-                # repro: allow[REP104] -- degraded path: the error is consumed
-                # by the serial in-process fallback, which re-raises on double
-                # failure (see _prepare_locally)
-                except Exception as error:
-                    examples.extend(self._prepare_locally(chunk, error))
-            return examples
-
-        return join
-
-    def _prepare_locally(self, chunk: list[Table],
-                         error: BaseException) -> list[PreparedExample]:
-        """Serial in-process fallback for one failed prepare chunk.
-
-        Runs the exact prepare stage the workers run (bitwise-identical
-        output) under the prepare lock.  If even this fails the service has
-        no way to produce the annotation: the failure is recorded so
-        :meth:`health` reports ``failed``, and the error propagates.
-        """
-        self._resilience.increment("fallbacks")
-        try:
-            with self._prepare_lock:
-                return self._local_preparer.prepare(chunk)
-        except Exception as fallback_error:  # noqa: BLE001 - now truly down
-            with self._stats_lock:
-                self._fatal = (
-                    f"in-process prepare fallback failed "
-                    f"({type(fallback_error).__name__}: {fallback_error}) after "
-                    f"executor failure ({type(error).__name__}: {error})"
-                )
-            raise
-
-    def _prepare_pending(self, tables: list[Table],
-                         deadline_s: float | None = None):
-        """Begin preparing ``tables``; returns a closure yielding the results.
-
-        The cache partition and the fan-out happen now (under the prepare
-        lock); the returned ``resolve()`` blocks until the missing tables are
-        ready, installs them in the cache and returns examples aligned with
-        ``tables``.  ``annotate_stream`` calls ``resolve()`` only after
-        launching PLM inference for the previous micro-batch, which is what
-        overlaps the two stages.
+        The cache holds the fully *prepared* example (model-ready arrays),
+        so a warm table costs one dict lookup before inference.  Tables are
+        deduplicated within a request, and cached, by content; with caching
+        disabled the service promises independent processing per table, so
+        each position becomes its own key.
         """
         start = time.perf_counter()
         slots: list[PreparedExample | None] = [None] * len(tables)
-        missing_tables: list[Table] = []
-        missing_keys: list[object] = []
-        positions_by_key: dict[object, list[int]] = {}
-        # Tables are deduplicated within a request, and cached, by content.
-        # With caching disabled the service promises independent processing
-        # per table, so each position becomes its own key.
+        missing: dict[object, tuple[Table, list[int]]] = {}
         dedup = self._cache.maxsize > 0
         with self._prepare_lock:
             for position, table in enumerate(tables):
                 key: object = table_key(table) if dedup else position
-                if key in positions_by_key:  # duplicate within request
-                    positions_by_key[key].append(position)
+                if key in missing:  # duplicate within request
+                    missing[key][1].append(position)
                     continue
                 cached = self._cache.get(key)
                 if cached is None:
-                    positions_by_key[key] = [position]
-                    missing_tables.append(table)
-                    missing_keys.append(key)
+                    missing[key] = (table, [position])
                 else:
                     slots[position] = cached
-            join = self._spawn_missing(missing_tables, deadline_s=deadline_s)
-        # Only time actually spent in Part 1 counts: the partition/spawn work
-        # above plus the blocking part of resolve() below.  Timing the whole
-        # spawn-to-resolve span would charge Part 1 for whatever the caller
-        # did in between — in annotate_stream, the previous batch's PLM run.
-        spawn_seconds = time.perf_counter() - start
-
-        def resolve() -> list[PreparedExample]:
-            resolve_start = time.perf_counter()
-            fresh = join()
-            if fresh:
-                with self._prepare_lock:
-                    for key, example in zip(missing_keys, fresh, strict=True):
-                        self._cache.put(key, example)
-                        for position in positions_by_key[key]:
-                            slots[position] = example
-            with self._stats_lock:
-                self._part1_seconds += spawn_seconds + (
-                    time.perf_counter() - resolve_start
+            for key, (table, positions) in missing.items():
+                example = self.trainer.prepare_example(
+                    self.extractor.process_table(table), with_ground_truth=False
                 )
-            return slots
-
-        return resolve
-
-    def _prepare(self, tables: list[Table],
-                 deadline_s: float | None = None) -> list[PreparedExample]:
-        """Part 1 + serialisation for ``tables``, through the bounded LRU cache.
-
-        The cache holds the fully *prepared* example (model-ready arrays),
-        so a warm table costs one dict lookup before inference.
-        """
-        return self._prepare_pending(tables, deadline_s=deadline_s)()
+                self._cache.put(key, example)
+                for position in positions:
+                    slots[position] = example
+        with self._stats_lock:
+            self._part1_seconds += time.perf_counter() - start
+        return slots
 
     def _predict(self, examples: list[PreparedExample]) -> list[list[str]]:
         """Part 2 for prepared examples (micro-batched, length-bucketed)."""
@@ -642,13 +383,10 @@ class AnnotationService:
 
         ``budget_s`` is an optional per-request deadline (seconds of wall
         clock from now).  It is checked at every stage boundary — admission,
-        after Part-1 prepare, after PLM inference — and threaded into the
-        prepare dispatch so the resilience layer's per-task waits and retry
-        backoff never outlive the request (see
-        :meth:`~repro.runtime.ResilientExecutor.submit`).  A blown budget
+        after Part-1 prepare, after PLM inference — and a blown budget
         raises :class:`~repro.core.errors.DeadlineExceeded`; the worst-case
-        overshoot between two checks is one PLM micro-batch or one
-        policy-bounded prepare task, never an unbounded hang.
+        overshoot between two checks is one stage of this request, never an
+        unbounded hang.
         """
         deadline_s = None if budget_s is None else time.monotonic() + budget_s
         with self._track():
@@ -659,7 +397,7 @@ class AnnotationService:
                 self._tables += len(tables)
             if not tables:
                 return []
-            prepared = self._prepare(tables, deadline_s=deadline_s)
+            prepared = self._prepare(tables)
             self._check_deadline(deadline_s, "after Part-1 prepare")
             predictions = self._predict(prepared)
             self._check_deadline(deadline_s, "after PLM inference")
@@ -669,12 +407,9 @@ class AnnotationService:
                         max_batch: int | None = None) -> Iterator[list[str]]:
         """Annotate a (possibly unbounded) stream of tables lazily, in order.
 
-        Tables are consumed in micro-batches of ``max_batch``.  Part-1
-        candidate extraction for the *next* micro-batch is handed to the
-        prepare executor before the PLM runs the current one, so with
-        ``processes > 0`` (or an injected ``thread`` executor) the two
-        stages overlap; with the default serial setup the stages simply
-        alternate.  Results are yielded per table, in input order,
+        Tables are consumed in micro-batches of ``max_batch``: each one is
+        prepared (Part 1) and predicted (Part 2) before the next is pulled
+        from ``tables``.  Results are yielded per table, in input order,
         regardless of the micro-batch boundaries.
         """
         # Validate eagerly (this is not itself a generator function) so a
@@ -690,17 +425,12 @@ class AnnotationService:
                          size: int) -> Iterator[list[str]]:
         with self._stats_lock:
             self._requests += 1
-        chunk = list(islice(iterator, size))
-        pending = self._prepare_pending(chunk) if chunk else None
-        while pending is not None:
+        while chunk := list(islice(iterator, size)):
             # Each chunk holds an in-flight slot only while it computes:
             # close() waits for the current chunk, and the next loop
             # iteration raises ServiceClosed instead of racing teardown.
             with self._track():
-                prepared = pending()
-                # Start Part 1 of the next chunk before predicting this one.
-                next_chunk = list(islice(iterator, size))
-                pending = self._prepare_pending(next_chunk) if next_chunk else None
+                prepared = self._prepare(chunk)
                 with self._stats_lock:
                     self._tables += len(prepared)
                 predictions = self._predict(prepared)
@@ -710,35 +440,22 @@ class AnnotationService:
     # telemetry
     # ------------------------------------------------------------------ #
     def _resilience_snapshot(self) -> tuple[dict[str, int], dict[str, str], int]:
-        """Aggregate fault counters, breaker states and trips over both paths.
+        """Fault counters, breaker states and trips of the sharded index.
 
-        The prepare path contributes the service's own
-        :class:`~repro.runtime.ResilienceStats` and dispatch breakers; the
-        retrieval path contributes the sharded index's (when the linker's
-        index is a :class:`~repro.kg.backends.ShardedBackend`).  Breaker keys
-        are namespaced (``prepare:…`` / ``shard:…``) so one snapshot reads
-        unambiguously.
+        All zero and empty unless the linker's index is a
+        :class:`~repro.kg.backends.ShardedBackend`.  Breaker keys are
+        namespaced (``shard:…``) so one snapshot reads unambiguously.
         """
-        counters = self._resilience.snapshot()
-        breakers: dict[str, str] = {}
-        trips = 0
-        if self._prepare_dispatch is not None:
-            breakers.update({
-                f"prepare:{target}": state
-                for target, state in self._prepare_dispatch.breaker_states().items()
-            })
-            trips += self._prepare_dispatch.breaker_trips()
+        counters = dict.fromkeys(ResilienceStats.COUNTERS, 0)
         index = self.linker.index
-        if isinstance(index, ShardedBackend):
-            shard = index.resilience_stats()
-            for name, value in shard["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-            breakers.update({
-                f"shard:{target}": state
-                for target, state in shard["breakers"].items()
-            })
-            trips += shard["breaker_trips"]
-        return counters, breakers, trips
+        if not isinstance(index, ShardedBackend):
+            return counters, {}, 0
+        shard = index.resilience_stats()
+        counters.update(shard["counters"])
+        breakers = {
+            f"shard:{target}": state for target, state in shard["breakers"].items()
+        }
+        return counters, breakers, shard["breaker_trips"]
 
     def stats(self) -> ServiceStats:
         """Cumulative telemetry since start (or the last :meth:`reset_stats`)."""
@@ -766,21 +483,17 @@ class AnnotationService:
     def health(self) -> ServiceHealth:
         """One operational snapshot: ``healthy`` / ``degraded`` / ``failed``.
 
-        ``failed`` means the service cannot answer (closed, or even the
-        serial in-process fallback died).  ``degraded`` means requests are
-        being answered — with bitwise-identical annotations — but the fault
-        machinery has been doing work since the last :meth:`reset_stats`:
-        open/half-open breakers, fallback activations, retries or timeouts.
+        ``failed`` means the service is closed.  ``degraded`` means requests
+        are being answered — with bitwise-identical annotations — but the
+        sharded index's fault machinery has been doing work since the last
+        :meth:`reset_stats`: open/half-open breakers, fallback activations,
+        retries or timeouts.
         """
         counters, breakers, _ = self._resilience_snapshot()
         with self._lifecycle:
             closed = self._closed
         if closed:
             return ServiceHealth("failed", ("service closed",), breakers)
-        with self._stats_lock:
-            fatal = self._fatal
-        if fatal is not None:
-            return ServiceHealth("failed", (fatal,), breakers)
         reasons: list[str] = []
         not_closed = {
             target: state for target, state in breakers.items()
@@ -797,10 +510,10 @@ class AnnotationService:
     def reset_stats(self) -> None:
         """Zero all telemetry counters (the cache contents stay warm).
 
-        Also clears the fault counters on both resilience paths, so a
-        service whose breakers have closed again reports ``healthy`` once
-        the incident is acknowledged.  Breaker *states* and lifetime trip
-        totals are live values and persist.
+        Also clears the sharded index's fault counters, so a service whose
+        breakers have closed again reports ``healthy`` once the incident is
+        acknowledged.  Breaker *states* and lifetime trip totals are live
+        values and persist.
         """
         with self._stats_lock:
             self._requests = 0
@@ -811,7 +524,6 @@ class AnnotationService:
             self._useful_tokens = 0
             self._padded_tokens = 0
         self._cache.reset_counters()
-        self._resilience.reset()
         index = self.linker.index
         if isinstance(index, ShardedBackend):
             index.reset_resilience_stats()

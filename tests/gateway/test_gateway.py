@@ -530,7 +530,29 @@ class TestIntrospection:
                 response = await get(gateway, "/metrics")
                 assert response.status == 200
                 text = response.body.decode()
-                assert "# TYPE kglink_gateway_requests gauge" in text
+                assert "# TYPE kglink_gateway_requests counter" in text
                 assert "kglink_gateway_completed 1" in text
                 assert "kglink_service_requests" in text
         asyncio.run(main())
+
+    def test_metrics_type_totals_as_counters_and_levels_as_gauges(self):
+        async def main():
+            async with running_gateway(FakeService()) as gateway:
+                await post_annotate(gateway, table_payload(make_table()))
+                return (await get(gateway, "/metrics")).body.decode()
+
+        types: dict[str, str] = {}
+        samples: list[str] = []
+        for line in asyncio.run(main()).splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                types[name] = kind
+            elif line:
+                samples.append(line.split()[0])
+        # Every sample is declared once, as one of the two kinds emitted.
+        assert sorted(types) == sorted(samples)
+        assert set(types.values()) == {"counter", "gauge"}
+        assert types["kglink_gateway_requests"] == "counter"
+        assert types["kglink_service_cache_hits"] == "counter"
+        assert types["kglink_gateway_queue_depth"] == "gauge"
+        assert types["kglink_gateway_mean_batch_size"] == "gauge"

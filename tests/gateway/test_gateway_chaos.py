@@ -3,7 +3,8 @@
 The invariant, end to end: **every request the gateway accepts is answered**
 — 200 with bitwise-correct predictions, or a typed 5xx — no matter what
 crashes, stalls or floods the service underneath.  Faults are injected
-deterministically with :class:`~repro.runtime.FaultPlan`, mirroring the
+deterministically with :class:`~repro.runtime.FaultPlan` into the shard
+executor of a :class:`~repro.kg.backends.ShardedBackend`, mirroring the
 service-level suite in ``tests/serve/test_degradation.py``; the service is
 a real trained one, so the crash/retry/fallback machinery on the other side
 of the gateway is the production path, not a stub.
@@ -19,6 +20,7 @@ import pytest
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
 from repro.data.corpus import TableCorpus
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig
+from repro.kg.backends import ShardedBackend
 from repro.runtime import FaultPlan, FaultyExecutor, RuntimePolicy, create_executor
 from repro.serve import AnnotationService, ServiceBundle
 
@@ -69,11 +71,16 @@ def expected(bundle_dir, serve_tables):
 
 
 def _faulty_service(bundle_dir, plan, sleeps=None):
+    """A service whose Part-1 searches fan out through ``plan``'s faults."""
     record = sleeps if sleeps is not None else []
-    executor = FaultyExecutor(create_executor("thread", max_workers=2), plan,
-                              sleep=record.append)
-    return AnnotationService.load(bundle_dir, executor=executor,
-                                  policy=CHAOS_POLICY)
+    bundle = ServiceBundle.load(bundle_dir)
+    bundle.backend = ShardedBackend(
+        bundle.backend, num_shards=2,
+        executor=FaultyExecutor(create_executor("serial"), plan,
+                                sleep=record.append),
+        policy=CHAOS_POLICY,
+    )
+    return AnnotationService(bundle, policy=CHAOS_POLICY)
 
 
 def _accounted(stats: dict) -> bool:

@@ -2,9 +2,9 @@
 
 The contract under test, from the resilience tentpole: whenever
 ``service.health()`` reports anything other than ``failed``, annotations are
-*bitwise-identical* to the fault-free run — injected timeouts, worker
-crashes, dead pools and slow shards degrade latency and light up telemetry,
-never change predictions.  Faults come from
+*bitwise-identical* to the fault-free run — injected shard timeouts and
+dead shards degrade latency and light up telemetry, never change
+predictions.  Faults come from
 :class:`~repro.runtime.FaultPlan`/:class:`~repro.runtime.FaultyExecutor`, so
 no real process dies and no wall-clock time is slept.
 """
@@ -28,8 +28,6 @@ TINY_CONFIG = KGLinkConfig(
     top_k_rows=5, max_tokens_per_column=12, vocab_size=900,
     max_position_embeddings=140, max_feature_tokens=8,
 )
-
-EXECUTOR_NAMES = ["serial", "thread", "process"]
 
 #: Small budgets so fault scenarios converge in a handful of calls; sleeps
 #: are injected (recorded, not slept) wherever the suite exercises them.
@@ -215,87 +213,6 @@ class TestRuntimePolicyPersistence:
         service = AnnotationService.load(bundle_dir)
         assert service.policy == RuntimePolicy()
         service.close()
-
-
-# --------------------------------------------------------------------------- #
-# the fault matrix: prepare path, every executor
-# --------------------------------------------------------------------------- #
-@pytest.mark.chaos
-class TestPrepareDegradation:
-    """Injected prepare-pool faults: identical annotations, degraded health."""
-
-    @pytest.fixture(params=EXECUTOR_NAMES)
-    def inner_name(self, request):
-        return request.param
-
-    def _service(self, bundle_dir, inner_name, plan, sleeps=None):
-        record = sleeps if sleeps is not None else []
-        executor = FaultyExecutor(
-            create_executor(inner_name, max_workers=2), plan,
-            sleep=record.append,
-        )
-        return AnnotationService.load(bundle_dir, executor=executor,
-                                      policy=CHAOS_POLICY)
-
-    def test_timeout_once(self, bundle_dir, serve_tables, expected, inner_name):
-        plan = FaultPlan().fail(TimeoutError("injected hang"), times=1)
-        with self._service(bundle_dir, inner_name, plan) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            stats = service.stats()
-            assert stats.retries >= 1
-            health = service.health()
-            assert health.status == "degraded"
-
-    def test_crash_once(self, bundle_dir, serve_tables, expected, inner_name):
-        plan = FaultPlan().crash_worker(times=1)
-        with self._service(bundle_dir, inner_name, plan) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            stats = service.stats()
-            assert stats.worker_crashes == 1
-            assert stats.retries >= 1
-            assert service.health().status == "degraded"
-            # The crash was transient: once acknowledged, health recovers.
-            service.reset_stats()
-            assert service.health().status == "healthy"
-
-    def test_crash_always_falls_back_in_process(self, bundle_dir, serve_tables,
-                                                expected, inner_name):
-        plan = FaultPlan().crash_worker(times=None)
-        with self._service(bundle_dir, inner_name, plan) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            stats = service.stats()
-            assert stats.fallbacks >= 1
-            assert stats.breaker_trips >= 1
-            health = service.health()
-            assert health.status == "degraded"  # answering, not failed
-            assert health.breakers.get("prepare:prepare") == "open"
-            # Still serving identical results with the breaker open: chunks
-            # skip the dead pool entirely and prepare in-process.
-            assert service.annotate_batch(serve_tables[:2]) == expected[:2]
-
-    def test_slow_prepare_delays_on_injected_clock(self, bundle_dir,
-                                                   serve_tables, expected,
-                                                   inner_name):
-        sleeps: list[float] = []
-        plan = FaultPlan().delay(0.25, times=2)
-        with self._service(bundle_dir, inner_name, plan, sleeps) as service:
-            assert service.annotate_batch(serve_tables) == expected
-        # One chunk per worker, so serial fires one delay and the pooled
-        # executors two — every delay lands on the injected clock, not time.
-        assert sleeps == [0.25] * len(sleeps)
-        assert len(sleeps) == len(plan.fired) >= 1
-
-    def test_failed_when_even_the_fallback_dies(self, bundle_dir, serve_tables,
-                                                monkeypatch):
-        plan = FaultPlan().crash_worker(times=None)
-        with self._service(bundle_dir, "serial", plan) as service:
-            monkeypatch.setattr(
-                service._local_preparer, "prepare",
-                lambda tables: (_ for _ in ()).throw(RuntimeError("no fallback")),
-            )
-            with pytest.raises(RuntimeError, match="no fallback"):
-                service.annotate_batch(serve_tables)
-            assert service.health().status == "failed"
 
 
 # --------------------------------------------------------------------------- #

@@ -180,7 +180,7 @@ class TestAnnotationService:
         assert stats.batches >= 1
         assert 0.0 < stats.bucket_fill <= 1.0
         assert stats.useful_tokens > 0
-        payload = stats.as_dict()
+        payload = stats.to_dict()
         assert payload["bucket_fill"] == stats.bucket_fill
         service.reset_stats()
         zeroed = service.stats()
@@ -210,8 +210,8 @@ class TestAnnotateStream:
         assert consumed == []  # nothing pulled before iteration
         first = next(stream)
         assert isinstance(first, list)
-        # Pipelining prefetches at most the next micro-batch, not the world.
-        assert len(consumed) <= 4
+        # The stream pulls one micro-batch at a time, not the world.
+        assert len(consumed) <= 2
         rest = list(stream)
         assert [first, *rest] == service.annotate_batch(serve_tables)
 
@@ -223,8 +223,8 @@ class TestAnnotateStream:
         reference = AnnotationService.load(bundle_dir)
         expected = reference.annotate_batch(serve_tables)
         # cache_size=0 forces full Part 1 on every request, so the consumer's
-        # annotate() genuinely contends with the stream's background worker
-        # for the shared retrieval backend (serialized by the prepare lock).
+        # annotate() genuinely contends with the stream for the shared
+        # retrieval backend (serialized by the prepare lock).
         service = AnnotationService.load(bundle_dir, cache_size=0)
         streamed = []
         for index, labels in enumerate(
@@ -392,49 +392,16 @@ class TestShardedServing:
         assert service.annotate_batch(serve_tables) == expected
 
 
-class TestProcessPoolPrepare:
-    """The Part-1 prepare stage distributed across worker processes."""
-
-    def test_process_pool_predictions_bitwise_equal(self, bundle_dir,
-                                                    serve_tables):
-        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
-        with AnnotationService.load(bundle_dir, processes=2) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            # Warm tables come from the parent-side cache, cold ones from the
-            # pool; both paths must agree.
-            assert service.annotate_batch(serve_tables) == expected
-            stats = service.stats()
-            assert stats.cache_misses == len(serve_tables)
-            assert stats.cache_hits == len(serve_tables)
-
-    def test_process_pool_stream_matches_batch(self, bundle_dir, serve_tables):
-        with AnnotationService.load(bundle_dir, processes=2,
-                                    cache_size=0) as service:
-            expected = AnnotationService.load(bundle_dir).annotate_batch(
-                serve_tables
-            )
-            streamed = list(service.annotate_stream(serve_tables, max_batch=2))
-            assert streamed == expected
-
-    def test_injected_thread_executor(self, bundle_dir, serve_tables):
-        from repro.runtime import ThreadExecutor
-
-        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
-        with AnnotationService.load(
-            bundle_dir, executor=ThreadExecutor(max_workers=2), cache_size=0
-        ) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            assert list(service.annotate_stream(serve_tables)) == expected
-
-    def test_invalid_processes_rejected(self, bundle_dir):
-        with pytest.raises(ValueError):
-            AnnotationService.load(bundle_dir, processes=-1)
+class TestContentKeying:
+    """Part-1 results are keyed by table content, never by ``table_id``."""
 
     def test_duplicate_tables_in_one_request(self, bundle_dir, serve_tables):
-        with AnnotationService.load(bundle_dir, processes=1) as service:
+        with AnnotationService.load(bundle_dir) as service:
             table = serve_tables[0]
             first, second = service.annotate_batch([table, table])
             assert first == second
+            # The duplicate rode along with the first copy: one Part-1 run.
+            assert service.stats().cache_misses == 1
 
     def test_colliding_table_ids_with_cache_disabled(self, bundle_dir,
                                                      serve_tables):
@@ -518,9 +485,6 @@ class TestStatsSerialization:
         assert 0.0 <= payload["cache_hit_rate"] <= 1.0
         for name, value in payload.items():
             assert type(value) in (int, float), (name, type(value))
-        # The pre-gateway name keeps working.
-        with AnnotationService.load(bundle_dir) as service:
-            assert service.stats().as_dict() == service.stats().to_dict()
 
     def test_health_to_dict_is_json_safe(self, bundle_dir):
         with AnnotationService.load(bundle_dir) as service:
@@ -573,10 +537,10 @@ class TestCloseRace:
         release = threading.Event()
         original = service._prepare
 
-        def gated(tables, deadline_s=None):
+        def gated(tables):
             started.set()
             assert release.wait(10.0)
-            return original(tables, deadline_s=deadline_s)
+            return original(tables)
 
         service._prepare = gated
         results: list = []
