@@ -9,24 +9,12 @@ scale at which the paper resorts to Elasticsearch), then times
   candidate) as the baseline the speedup is measured against,
 * float32 postings (the default since PR 5) against the float64 index:
   per-query recall@10 parity and search latency,
-* sharded search: the same query stream through a ``ShardedBackend`` whose
-  shards are served by a process pool, vs the unsharded index,
-* resilience overhead: the sharded path under the default ``RuntimePolicy``
-  (deadlines, retries, circuit breakers — all idle) vs the bare
-  ``policy=None`` fan-out on the same serial executor, gating the wrappers'
-  fault-free cost,
 * sequential ``EntityLinker.link`` vs ``EntityLinker.link_batch`` throughput
   on a mention stream with realistic duplication,
 * serving throughput: a tiny trained system exported through
   ``KGLinkAnnotator.into_service()`` and hit with the same tables as a
   one-table ``annotate()`` loop vs one ``annotate_batch()`` request (the
   Part-1 cache is pre-warmed, so the ratio isolates Part-2 micro-batching).
-
-The pool-backed ratio (``sharded_search_speedup``) depends on how many cores
-the host grants; the worker count used is recorded next to the number.  On a
-single-core box the ratio hovers at or below 1.0 — the benchmark then
-documents the fan-out overhead rather than a win, and the CI gate simply
-holds future PRs to whatever the committed baseline machine achieved.
 
 Results are written as JSON (``scripts/run_benchmarks.sh`` commits them to
 ``BENCH_retrieval.json``) so the performance trajectory is tracked per PR.
@@ -45,10 +33,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from repro.kg.backends import BM25Index, SearchHit, ShardedBackend, reference_search
+from repro.kg.backends import BM25Index, SearchHit, reference_search
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker, LinkerConfig
-from repro.runtime import ProcessExecutor, default_worker_count
 
 
 class _SeedSearchAdapter:
@@ -107,78 +94,6 @@ def measure_float32(index: BM25Index, documents: list[tuple[str, str]],
         "float32_recall_at_10": round(float(np.mean(overlaps)), 6),
         "float32_postings_bytes": int(f32._posting_impacts.nbytes),
         "float64_postings_bytes": int(index._posting_impacts.nbytes),
-    }
-
-
-def measure_sharded(index: BM25Index, queries: list[str], top_k: int,
-                    num_shards: int, workers: int) -> dict:
-    """Sharded ``search_batch`` on a process pool vs the unsharded index."""
-    executor = ProcessExecutor(max_workers=workers)
-    sharded = ShardedBackend(index, num_shards=num_shards, executor=executor)
-    try:
-        sharded_hits = sharded.search_batch(queries, top_k=top_k)  # warm pool
-        flat_seconds = float("inf")
-        sharded_seconds = float("inf")
-        for _ in range(3):  # best-of-3 per path to damp scheduler noise
-            start = time.perf_counter()
-            flat_hits = index.search_batch(queries, top_k=top_k)
-            flat_seconds = min(flat_seconds, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            sharded_hits = sharded.search_batch(queries, top_k=top_k)
-            sharded_seconds = min(sharded_seconds, time.perf_counter() - start)
-        assert sharded_hits == flat_hits, "sharded search diverged from unsharded"
-    finally:
-        sharded.close()
-    return {
-        "num_shards": num_shards,
-        "shard_workers": workers,
-        "sharded_search_ms_per_query": round(sharded_seconds / len(queries) * 1e3, 4),
-        "sharded_search_speedup": round(flat_seconds / sharded_seconds, 2),
-    }
-
-
-def measure_resilience_overhead(index: BM25Index, queries: list[str],
-                                top_k: int, num_shards: int = 2,
-                                repeats: int = 5) -> dict:
-    """Fault-free cost of the resilience wrappers on the sharded search path.
-
-    Two ``ShardedBackend``s over the same index and the same serial executor:
-    one bare (``policy=None``) and one under the default ``RuntimePolicy``
-    (per-shard deadlines, retry accounting, circuit breakers).  Same process,
-    same arrays, zero faults — the ratio isolates pure wrapper overhead, and
-    the CI gate (``serving.resilience_overhead``) holds it near 1.0.
-    """
-    from repro.runtime import SerialExecutor
-
-    bare = ShardedBackend(index, num_shards=num_shards,
-                          executor=SerialExecutor(), policy=None)
-    resilient = ShardedBackend(index, num_shards=num_shards,
-                               executor=SerialExecutor())
-    try:
-        bare_hits = bare.search_batch(queries, top_k=top_k)  # warm both paths
-        assert resilient.search_batch(queries, top_k=top_k) == bare_hits, (
-            "resilience wrappers changed search results"
-        )
-        bare_seconds = float("inf")
-        resilient_seconds = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            bare.search_batch(queries, top_k=top_k)
-            bare_seconds = min(bare_seconds, time.perf_counter() - start)
-
-            start = time.perf_counter()
-            resilient.search_batch(queries, top_k=top_k)
-            resilient_seconds = min(resilient_seconds, time.perf_counter() - start)
-    finally:
-        bare.close()
-        resilient.close()
-    return {
-        "bare_serial_search_ms_per_query": round(
-            bare_seconds / len(queries) * 1e3, 4),
-        "resilient_serial_search_ms_per_query": round(
-            resilient_seconds / len(queries) * 1e3, 4),
-        "resilience_overhead": round(resilient_seconds / bare_seconds, 4),
     }
 
 
@@ -270,14 +185,6 @@ def run(n_docs: int, vocab_size: int, n_queries: int, n_scalar_queries: int,
     scalar_per_query = scalar_seconds / len(scalar_queries)
 
     float32_metrics = measure_float32(index, documents, queries, top_k, vector_hits)
-    # Capped at 2 workers: see the prepare-pool note in run_serving — the
-    # gated ratio should measure the fan-out plumbing, not the host's cores.
-    shard_workers = default_worker_count(cap=2)
-    sharded_metrics = measure_sharded(
-        index, queries, top_k,
-        num_shards=max(2, shard_workers), workers=shard_workers,
-    )
-    resilience_metrics = measure_resilience_overhead(index, queries, top_k)
 
     # Linker throughput on a mention stream with heavy duplication (the same
     # entities recur across table cells).  Fresh linkers so caches are cold.
@@ -338,7 +245,7 @@ def run(n_docs: int, vocab_size: int, n_queries: int, n_scalar_queries: int,
             "seed_engine_mentions_per_second": round(seed_rate, 1),
             "engine_speedup": round(batch_rate / seed_rate, 2),
         },
-        "serving": {**sharded_metrics, **resilience_metrics, **run_serving(seed)},
+        "serving": run_serving(seed),
     }
 
 

@@ -4,29 +4,28 @@
 The serving-first flow introduced by ``repro.serve``:
 
 1. train once with the research facade (:class:`repro.core.KGLinkAnnotator`);
-2. export a serving front door in-process (``annotator.into_service()``);
-3. persist a self-contained bundle (``service.save(...)``) — config,
+2. export a serving front door in-process (``annotator.into_service()``)
+   and persist a self-contained bundle (``service.save(...)``) — config,
    tokenizer, label vocabulary, model weights, the *compiled* retrieval
    index arrays and a knowledge-graph snapshot;
-4. in the serving process, ``AnnotationService.load(bundle_dir)`` — no
-   ``KnowledgeGraph`` object, no index rebuild — and answer requests with
-   ``annotate`` / ``annotate_batch`` / ``annotate_stream``;
-5. watch the per-request telemetry (``service.stats()``);
-6. scale out: re-shard the bundled index across a ``ShardedBackend``
-   (results stay bitwise-identical) — configuration, not code;
-7. operate under failure: script a deterministic shard-worker crash with
-   ``FaultPlan`` / ``FaultyExecutor`` and watch the ``RuntimePolicy``
-   (deadlines, retries, circuit breakers) absorb it — ``service.health()``
-   reports ``degraded`` while the answers stay bitwise-identical;
-8. put the async HTTP gateway (``repro.gateway``) in front and fire mixed
+3. in the serving process, ``AnnotationService.load(bundle_dir)`` — no
+   ``KnowledgeGraph`` object, no index rebuild;
+4. answer one ``annotate_batch`` request;
+5. answer the same tables as a stream (``annotate_stream``);
+6. watch the per-request telemetry (``service.stats()``);
+7. put the async HTTP gateway (``repro.gateway``) in front and fire mixed
    ``X-Deadline-Ms`` traffic at it: requests with room coalesce into
    shared micro-batches, hopeless budgets are refused with typed 504s,
    and the accounting proves nothing was silently dropped;
-9. replicate the tier (``repro.fleet``): two worker *processes* each load
+8. replicate the tier (``repro.fleet``): two worker *processes* each load
    the same bundle behind one gateway — a supervisor keeps them alive, a
    router picks the least-loaded replica per batch, and a shared results
    cache answers repeat tables from router memory (the second pass of the
-   same traffic never touches a replica).
+   same traffic never touches a replica);
+9. operate under failure: script a deterministic replica fault with
+   ``FaultPlan`` / ``FaultyEndpoint`` on the same fleet's wire and watch
+   the router fail the batch over to the other replica — the answers stay
+   bitwise-identical.
 
 Run with::
 
@@ -36,25 +35,17 @@ Run with::
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import tempfile
 import time
 from pathlib import Path
 
 from repro.core import KGLinkAnnotator, KGLinkConfig
 from repro.data import SemTabConfig, SemTabGenerator, stratified_split
-from repro.fleet import FleetRouter, ProcessLauncher, ReplicaSupervisor
+from repro.fleet import FleetRouter, ProcessLauncher, ReplicaClient, ReplicaSupervisor
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig, HttpConnection
 from repro.kg import KGWorldConfig, build_default_kg
-from repro.kg.backends import ShardedBackend
-from repro.runtime import (
-    FaultPlan,
-    FaultyExecutor,
-    RuntimePolicy,
-    create_executor,
-    default_worker_count,
-)
-from repro.serve import AnnotationService, ServiceBundle
+from repro.runtime import FaultPlan, FaultyEndpoint
+from repro.serve import AnnotationService
 
 
 def main() -> None:
@@ -106,81 +97,64 @@ def main() -> None:
     print(f"   bucket fill {stats.bucket_fill:.0%}  "
           f"cache hit rate {stats.cache_hit_rate:.0%}")
 
-    workers = default_worker_count(cap=4)
-    shards = max(2, workers)
-    print(f"7) serving at scale: {shards}-shard index searched by "
-          f"{workers} worker process(es) ...")
-    bundle = ServiceBundle.load(bundle_dir)
-    # The shard plan is configuration: re-shard the same bundle without
-    # touching it on disk.  Results stay bitwise-identical to step 4.
-    bundle.linker_config = dataclasses.replace(
-        bundle.linker_config, num_shards=shards, executor="process"
-    )
-    with AnnotationService(bundle, max_batch=16, cache_size=0) as sharded:
-        warm = sharded.annotate_batch(tables)  # spin up the shard pool
-        assert warm == predictions, "sharded serving must be bitwise-identical"
-        start = time.perf_counter()
-        sharded.annotate_batch(tables)  # cold Part-1 every time (cache off)
-        elapsed = time.perf_counter() - start
-        print(f"   {len(tables) / elapsed:.0f} tables/s cold (full Part 1 + "
-              "PLM on every request), identical results")
-
-    print("8) operating under failure: crash a shard worker on the first "
-          "call ...")
-    policy = RuntimePolicy(timeout_s=30.0, max_retries=2, breaker_threshold=3)
-    # The crash is scripted, deterministic and injected at the shard
-    # dispatch boundary — no real process is killed, yet the service sees
-    # exactly what a dead pool worker looks like (BrokenProcessPool).
-    plan = FaultPlan(seed=0).crash_worker(times=1)
-    bundle = ServiceBundle.load(bundle_dir)
-    chaotic = ShardedBackend(
-        bundle.backend, num_shards=shards,
-        executor=FaultyExecutor(create_executor("process", max_workers=workers),
-                                plan),
-        policy=policy,
-    )
-    bundle.backend = chaotic
-    try:
-        with AnnotationService(bundle, max_batch=16, cache_size=0,
-                               policy=policy) as survivor:
-            shaken = survivor.annotate_batch(tables)  # crash -> respawn -> retry
-            assert shaken == predictions, "degraded serving must stay identical"
-            health = survivor.health()
-            stats = survivor.stats()
-            print(f"   health={health.status} ({'; '.join(health.reasons)})")
-            print(f"   worker_crashes={stats.worker_crashes}  "
-                  f"retries={stats.retries}  fallbacks={stats.fallbacks}  "
-                  "— answers identical to step 4")
-            survivor.reset_stats()
-            assert survivor.annotate_batch(tables) == predictions
-            print(f"   after reset_stats(): health={survivor.health().status} "
-                  "(the crash was transient)")
-    finally:
-        # A pre-sharded index stays ours: the service searched through it
-        # but leaves its worker pool running.
-        chaotic.close()
-
-    print("9) fronting the service with the async gateway "
+    print("7) fronting the service with the async gateway "
           "(mixed-deadline traffic) ...")
     asyncio.run(gateway_demo(bundle_dir, tables, predictions))
 
-    print("10) replicating the tier: 2 worker processes behind one gateway ...")
+    print("8) replicating the tier: 2 worker processes behind one gateway ...")
+    # Every replica call goes through a FaultyEndpoint: its plan is empty
+    # (fault-free) until step 9 scripts a failure on the same fleet.
+    plan = FaultPlan(seed=0)
+
+    def endpoint_factory(name, address):
+        client = ReplicaClient(address, name=name, default_timeout_s=30.0)
+        return FaultyEndpoint(client, plan, name=name)
+
     launcher = ProcessLauncher(bundle_dir, service_kwargs={"max_batch": 16})
     supervisor = ReplicaSupervisor(launcher, replicas=2)
     supervisor.start()
-    router = FleetRouter(supervisor, own_supervisor=True)
+    router = FleetRouter(supervisor, own_supervisor=True,
+                         endpoint_factory=endpoint_factory)
     try:
         asyncio.run(fleet_demo(router, tables, predictions))
+        replica_fault_demo(router, plan, service, splits.validation.tables)
     finally:
         # Graceful drain: the router drains its dispatches, then the
         # supervisor SIGTERMs both replicas and waits for them to exit.
         router.close()
     assert supervisor.stats()["up"] == 0
-    print("    drained: both replicas terminated, accounting balanced")
+    service.close()
+    print("   drained: both replicas terminated, accounting balanced")
+
+
+def replica_fault_demo(router: FleetRouter, plan: FaultPlan,
+                       service: AnnotationService, tables) -> None:
+    """Step 9: a scripted replica death mid-batch, absorbed by failover."""
+    print("9) operating under failure: the next replica batch dies "
+          "mid-request ...")
+    # Tables the fleet has not seen, so the shared results cache cannot
+    # answer them and the batch must travel the wire.
+    expected = service.annotate_batch(tables)
+    before = router.stats()
+    # Deterministic and injected at the wire boundary: no process is
+    # killed, yet the router sees exactly what a replica dying mid-batch
+    # looks like (a connection reset).
+    plan.fail(ConnectionResetError("injected: replica died mid-batch"),
+              times=1, match=lambda task: task[1] == "annotate_batch")
+    shaken = router.annotate_batch(tables)
+    assert shaken == expected, "failover must keep answers bitwise-identical"
+    stats = router.stats()
+    victim = plan.fired[0][2][0]
+    print(f"   {victim} reset mid-batch; failovers="
+          f"{stats.failovers - before.failovers}  replica_errors="
+          f"{stats.replica_errors - before.replica_errors} — answers identical "
+          "to the single-process service")
+    print(f"   fleet health={router.health().status} (one failure stays under "
+          "the breaker threshold)")
 
 
 async def gateway_demo(bundle_dir: Path, tables, predictions) -> None:
-    """Step 9: the overload-safe HTTP tier under mixed-deadline traffic."""
+    """Step 7: the overload-safe HTTP tier under mixed-deadline traffic."""
     payloads = [
         {"table_id": table.table_id,
          "columns": [{"name": column.name, "cells": list(column.cells)}
@@ -188,8 +162,8 @@ async def gateway_demo(bundle_dir: Path, tables, predictions) -> None:
         for table in tables
     ]
     service = AnnotationService.load(bundle_dir, max_batch=16)
-    # default_deadline_ms=0 disables the policy fallback: only the header
-    # counts, so the demo controls every request's budget explicitly.
+    # default_deadline_ms=0: only the header counts, so the demo controls
+    # every request's budget explicitly.
     async with Gateway(service, GatewayConfig(
         port=0, max_wait_ms=5.0, default_deadline_ms=0.0,
     )) as gateway:
@@ -241,7 +215,7 @@ async def gateway_demo(bundle_dir: Path, tables, predictions) -> None:
 
 
 async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
-    """Step 10: mixed-deadline traffic at a 2-replica fleet, then the same
+    """Step 8: mixed-deadline traffic at a 2-replica fleet, then the same
     traffic again so the shared results cache answers from router memory."""
     payloads = [
         {"table_id": table.table_id,
@@ -273,7 +247,7 @@ async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
             return response.status, (time.perf_counter() - start) * 1e3, index
 
         async def wave() -> list[tuple[int, float, int]]:
-            # The same mix as step 9: three generous budgets, one hopeless.
+            # The same mix as step 7: three generous budgets, one hopeless.
             return await asyncio.gather(*[
                 fire(index, 0.5 if index % 4 == 3 else 30_000.0)
                 for index in range(32)

@@ -83,20 +83,6 @@ RETRIEVAL_METRICS = [
     # annotate_batch vs a one-table annotate() loop on the same warmed
     # service: a within-run speedup, hardware-independent, gated on CI.
     Metric("serving.batch_vs_loop_speedup", higher_is_better=True, is_ratio=True),
-    # Within-run fan-out ratio (sharded search on a process pool vs the flat
-    # index), gated to catch plumbing regressions (IPC bloat).  The benchmark
-    # caps the pool at 2 workers so the ratio measures the fan-out machinery
-    # rather than the host's core count; the usual CI tolerance absorbs
-    # scheduler noise.
-    Metric("serving.sharded_search_speedup", higher_is_better=True, is_ratio=True),
-    # Fault-free cost of the resilience wrappers (deadline/retry/breaker
-    # machinery) on the sharded search path: resilient time / bare time on
-    # the same serial executor, so 1.0 means the wrappers are free.  Gated
-    # with a tight 5% allowance (the committed baseline sits at ~1.0), so
-    # the wrapped path must stay within ~5% of bare whatever the global
-    # timing tolerance says.
-    Metric("serving.resilience_overhead", higher_is_better=False, is_ratio=True,
-           max_regression=0.05),
 ]
 
 SERVING_METRICS = [

@@ -11,12 +11,10 @@ is the end-to-end public API.
 
 from repro.core.cache import CacheInfo, LRUCache
 from repro.core.errors import (
-    BreakerOpen,
     BundleCorrupted,
     DeadlineExceeded,
     ServiceClosed,
     ServingError,
-    ShardUnavailable,
     WorkerCrashed,
 )
 from repro.core.pipeline import (
@@ -39,8 +37,6 @@ __all__ = [
     "ServingError",
     "DeadlineExceeded",
     "WorkerCrashed",
-    "BreakerOpen",
-    "ShardUnavailable",
     "BundleCorrupted",
     "ServiceClosed",
     "Part1Config",

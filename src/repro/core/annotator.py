@@ -302,23 +302,6 @@ class KGLinkAnnotator:
         processed = self._process(corpus.tables)
         return self.extractor.link_statistics(processed)
 
-    def close(self) -> None:
-        """Shut down worker pools behind a sharded linker this annotator uses.
-
-        Delegates to :meth:`EntityLinker.close`, which only tears down a
-        shard executor the linker itself created (``LinkerConfig.num_shards
-        > 1``) — injected indexes stay up.  Needed when loading format-3
-        bundles with a process shard plan through the legacy
-        ``load_annotator`` shim, which otherwise leaks the pool.
-        """
-        self.linker.close()
-
-    def __enter__(self) -> KGLinkAnnotator:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def into_service(self, max_batch: int = 16, cache_size: int = 1024):
         """Export this fitted annotator as a serving-shaped front door.
 

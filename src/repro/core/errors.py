@@ -1,22 +1,18 @@
 """The serving error taxonomy: every partial-failure mode has a typed name.
 
-Before this module existed, a crashed pool worker surfaced as a raw
-``BrokenProcessPool``, a truncated bundle as whatever ``numpy`` happened to
-raise first, and a hung shard as an opaque ``TimeoutError`` — none of which a
-caller can handle without string-matching tracebacks.  The resilience layer
-(:mod:`repro.runtime.resilience`, :class:`~repro.kg.backends.ShardedBackend`,
-:class:`~repro.serve.service.AnnotationService`) translates every failure it
-detects into one of these classes, so operators and tests can route on type:
+Without it, a dead replica would surface as a raw ``ConnectionResetError``,
+a truncated bundle as whatever ``numpy`` happened to raise first, and a blown
+budget as an opaque ``TimeoutError`` — none of which a caller can handle
+without string-matching tracebacks.  The serving layers
+(:class:`~repro.serve.service.AnnotationService`, the gateway and the fleet)
+translate every failure they detect into one of these classes, so operators
+and tests can route on type:
 
-* :class:`DeadlineExceeded` — a task blew its per-task deadline
-  (``RuntimePolicy.timeout_s``);
-* :class:`WorkerCrashed` — a pool worker (or the whole pool) died; the
-  runtime respawns the pool, and raises this only when respawning did not
-  rescue the work;
-* :class:`BreakerOpen` — a circuit breaker is refusing calls to a target that
-  failed repeatedly (the caller should take its degraded path, not retry);
-* :class:`ShardUnavailable` — a retrieval shard failed *and* the serial
-  in-process fallback failed too: that slice of the corpus is dark;
+* :class:`DeadlineExceeded` — a request ran past its budget (the caller's
+  ``budget_s`` / ``X-Deadline-Ms``, or ``RuntimePolicy.timeout_s`` on the
+  fleet's wire);
+* :class:`WorkerCrashed` — a fleet replica process died while running a
+  batch; the router fails the batch over to a sibling;
 * :class:`BundleCorrupted` — a service bundle failed validation before or
   during load (missing file, checksum mismatch, malformed manifest).  Also a
   ``ValueError`` so legacy ``except ValueError`` call sites keep working;
@@ -42,8 +38,6 @@ __all__ = [
     "ServingError",
     "DeadlineExceeded",
     "WorkerCrashed",
-    "BreakerOpen",
-    "ShardUnavailable",
     "BundleCorrupted",
     "ServiceClosed",
     "GatewayOverloaded",
@@ -56,19 +50,11 @@ class ServingError(Exception):
 
 
 class DeadlineExceeded(ServingError):
-    """A task ran past its per-task deadline (``RuntimePolicy.timeout_s``)."""
+    """A request ran past its deadline (budget or ``RuntimePolicy.timeout_s``)."""
 
 
 class WorkerCrashed(ServingError):
-    """A worker process (or its whole pool) died while running a task."""
-
-
-class BreakerOpen(ServingError):
-    """A circuit breaker is open: the target is failing and calls are refused."""
-
-
-class ShardUnavailable(ServingError):
-    """A retrieval shard failed and its serial in-process fallback failed too."""
+    """A worker (replica) process died while running a task."""
 
 
 class BundleCorrupted(ServingError, ValueError):

@@ -10,9 +10,9 @@ the router can stay a pure dispatcher:
   replica that misses its heartbeat (or whose handle reports dead) is
   respawned with **bounded restarts**, spaced by the
   :class:`~repro.runtime.resilience.Backoff` schedule of the fleet's
-  :class:`~repro.runtime.RuntimePolicy` (the exact machinery the retry
-  engine uses).  A slot that exhausts ``max_restarts`` is marked ``failed``
-  and left down — a crash loop must not become a fork bomb;
+  :class:`~repro.runtime.RuntimePolicy`.  A slot that exhausts
+  ``max_restarts`` is marked ``failed`` and left down — a crash loop must
+  not become a fork bomb;
 * heartbeats double as health polls: the ping response carries the
   replica's own ``health()`` snapshot, which the supervisor caches per slot
   so the router's ``health()`` (called on the gateway's event loop) never
@@ -139,7 +139,7 @@ class ProcessLauncher:
 
     ``service_kwargs`` is forwarded to
     :meth:`~repro.serve.service.AnnotationService.load` in the child
-    (``max_batch``, ``cache_size``, ``policy``); each replica prepares Part 1
+    (``max_batch``, ``cache_size``); each replica prepares Part 1
     serially in its own process, so the fleet is the process pool.
     Readiness is a pipe handshake: the child reports its bound port,
     or the error that kept it from loading; silence past

@@ -6,7 +6,7 @@ Usage::
 
 The process serves until ``SIGTERM``/``SIGINT``, then drains gracefully:
 intake stops, admitted requests are answered, in-flight batches finish, and
-the service (with its shard pool, if any) is closed.
+the service is closed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="batches in flight at once (default: 2)")
     parser.add_argument("--default-deadline-ms", type=float, default=None,
                         help="deadline for requests without an X-Deadline-Ms "
-                             "header (default: the service policy's timeout)")
+                             "header (default: none)")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="prepared-table LRU bound (0 disables)")
     parser.add_argument("--service-max-batch", type=int, default=16,

@@ -7,16 +7,16 @@ made *failure* one.  The pieces, front to back:
 * connection handlers (one coroutine per keep-alive connection) parse
   requests with the stdlib-only :mod:`repro.gateway.http` layer;
 * ``POST /annotate`` requests get a :class:`~repro.gateway.admission.Deadline`
-  (``X-Deadline-Ms`` header, else the configured default, else the service
-  policy's ``timeout_s``) and enter the bounded
+  (``X-Deadline-Ms`` header, else the configured default, else the seat's
+  policy ``timeout_s`` when it has one) and enter the bounded
   :class:`~repro.gateway.admission.AdmissionQueue` — or are shed
   oldest-deadline-first with a typed 503 + ``Retry-After``;
 * the :class:`~repro.gateway.batcher.MicroBatcher` coalesces queued requests
-  into ``annotate_batch`` calls (the remaining budget rides into the service
-  and down to the resilience layer's per-task waits);
+  into ``annotate_batch`` calls (the remaining budget rides into the service,
+  or through the fleet router onto the wire);
 * every failure maps to a status through the typed taxonomy of
   :mod:`repro.core.errors` — ``DeadlineExceeded`` → 504, shed /
-  ``BreakerOpen`` → 503 with ``Retry-After``, ``ServiceClosed`` → 410,
+  ``ReplicaUnavailable`` → 503 with ``Retry-After``, ``ServiceClosed`` → 410,
   ``BundleCorrupted`` → 500 — so clients route on status the way in-process
   callers route on type;
 * ``GET /healthz`` surfaces the service's ``health()`` — a single
@@ -44,7 +44,6 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.core.errors import (
-    BreakerOpen,
     BundleCorrupted,
     DeadlineExceeded,
     GatewayOverloaded,
@@ -84,10 +83,9 @@ _COUNTER_METRICS = frozenset({
     "batch_errors",
     # AnnotationService
     "tables", "part1_seconds", "encode_seconds", "useful_tokens",
-    "padded_tokens", "cache_hits", "cache_misses", "retries", "timeouts",
-    "worker_crashes", "fallbacks", "breaker_trips",
+    "padded_tokens", "cache_hits", "cache_misses", "retries", "fallbacks",
     # FleetRouter
-    "dispatches", "failovers", "replica_errors", "rejected",
+    "dispatches", "failovers", "timeouts", "replica_errors", "rejected",
     "results_cache_hits", "results_cache_misses", "results_cache_coalesced",
     "results_cache_evictions", "fleet_spawned", "fleet_restarts",
     "fleet_heartbeats", "fleet_heartbeat_failures", "fleet_gave_up",
@@ -113,9 +111,12 @@ class GatewayConfig:
         Admission bound — requests beyond it are shed oldest-deadline-first.
     ``default_deadline_ms``
         Deadline for requests without an ``X-Deadline-Ms`` header; ``None``
-        falls back to the service policy's ``timeout_s`` (so an unadorned
-        request inherits the deployment's per-task patience), and ``0``
-        disables default deadlines entirely.
+        falls back to the seat's ``policy.timeout_s`` (a
+        :class:`~repro.fleet.router.FleetRouter`'s
+        :class:`~repro.runtime.RuntimePolicy`, so an unadorned request
+        inherits the fleet's per-request patience; a single
+        ``AnnotationService`` has no policy, so there such requests carry
+        no deadline), and ``0`` disables default deadlines entirely.
     ``retry_after_s``
         The ``Retry-After`` hint on 503 responses.
     """
@@ -135,7 +136,7 @@ def status_for(error: BaseException) -> int:
     """Map the typed serving taxonomy onto HTTP statuses."""
     if isinstance(error, DeadlineExceeded):
         return 504
-    if isinstance(error, (GatewayOverloaded, BreakerOpen, ReplicaUnavailable)):
+    if isinstance(error, (GatewayOverloaded, ReplicaUnavailable)):
         return 503  # transient; 503 + Retry-After tells clients to back off
     if isinstance(error, ServiceClosed):
         return 410
@@ -255,7 +256,7 @@ class Gateway:
            micro-batched and answered;
         3. once the batcher reports every in-flight batch resolved, the
            service is (optionally) closed — which itself drains in-flight
-           ``annotate_batch`` calls before touching the pools.
+           ``annotate_batch`` calls first.
 
         Idempotent; concurrent callers all wait for the same drain.
         """

@@ -27,7 +27,6 @@ from repro.kg.backends import (
     CharNGramIndex,
     RetrievalBackend,
     SearchHit,
-    ShardedBackend,
     create_backend,
     backend_from_documents,
     register_backend,
@@ -47,7 +46,6 @@ __all__ = [
     "CharNGramIndex",
     "RetrievalBackend",
     "SearchHit",
-    "ShardedBackend",
     "create_backend",
     "backend_from_documents",
     "register_backend",

@@ -13,13 +13,7 @@ through the :class:`RetrievalBackend` protocol:
   index from a bundle without the original documents or a rebuild.  A backend
   restored this way is frozen: it serves searches but rejects
   ``add_document`` (the builder-side structures are deliberately not
-  serialised),
-* ``shard_state(state, num_shards)`` — split one compiled state into
-  ``num_shards`` self-contained states covering disjoint document ranges
-  (array slices of the compiled arrays), each loadable with ``from_state``.
-  :class:`ShardedBackend` builds on this to fan ``search_batch`` out across
-  shards through a :class:`~repro.runtime.SearchExecutor` and merge the
-  per-shard top-k bitwise-identically to the unsharded index.
+  serialised).
 
 Two implementations ship here and both must pass the shared conformance suite
 (``tests/kg/test_backends.py``):
@@ -55,7 +49,6 @@ from typing import ClassVar, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.errors import ShardUnavailable
 from repro.text.tokenizer import basic_tokenize
 
 __all__ = [
@@ -64,13 +57,11 @@ __all__ = [
     "RetrievalBackend",
     "BM25Index",
     "CharNGramIndex",
-    "ShardedBackend",
     "register_backend",
     "create_backend",
     "restore_backend",
     "backend_from_documents",
     "reference_search",
-    "shard_boundaries",
 ]
 
 
@@ -128,10 +119,6 @@ class RetrievalBackend(Protocol):
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> RetrievalBackend: ...
-
-    @classmethod
-    def shard_state(cls, state: dict[str, np.ndarray], num_shards: int
-                    ) -> list[dict[str, np.ndarray]]: ...
 
 
 # --------------------------------------------------------------------------- #
@@ -201,21 +188,6 @@ def _normalize_term(term: str) -> str:
     sites.
     """
     return term.lower()
-
-
-def shard_boundaries(n_docs: int, num_shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` document-index ranges for ``num_shards`` shards.
-
-    Ranges are balanced to within one document.  ``num_shards`` may exceed
-    ``n_docs``; the surplus shards are empty, which every backend's
-    ``from_state`` must accept.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be at least 1")
-    return [
-        (n_docs * shard // num_shards, n_docs * (shard + 1) // num_shards)
-        for shard in range(num_shards)
-    ]
 
 
 def _select_top_hits(candidates: np.ndarray, candidate_scores: np.ndarray,
@@ -475,48 +447,6 @@ class BM25Index:
         index._compiled = True
         return index
 
-    @classmethod
-    def shard_state(cls, state: dict[str, np.ndarray], num_shards: int
-                    ) -> list[dict[str, np.ndarray]]:
-        """Split a compiled state into ``num_shards`` document-range shards.
-
-        Each shard keeps the full term vocabulary but only the postings of
-        its document range; document ids and ranks are literal array slices.
-        The per-``(term, doc)`` impacts embed the *global* corpus statistics
-        (IDF, average length), so a document's accumulated score inside a
-        shard is bitwise-identical to its score in the unsharded index —
-        which is what lets :class:`ShardedBackend` merge shard top-k lists
-        without re-scoring.
-        """
-        doc_ids = np.asarray(state["doc_ids"])
-        doc_ranks = np.asarray(state["doc_ranks"], dtype=np.int64)
-        indptr = np.asarray(state["indptr"], dtype=np.int64)
-        posting_docs = np.asarray(state["posting_docs"], dtype=np.int64)
-        impacts = np.asarray(state["posting_impacts"])
-        n_terms = len(indptr) - 1
-        # Which term owns each posting: postings are grouped by term slot, so
-        # masking by a doc range keeps the grouping and per-term doc order.
-        term_of_posting = np.repeat(
-            np.arange(n_terms, dtype=np.int64), np.diff(indptr)
-        )
-        shards: list[dict[str, np.ndarray]] = []
-        for lo, hi in shard_boundaries(len(doc_ids), num_shards):
-            mask = (posting_docs >= lo) & (posting_docs < hi)
-            counts = np.bincount(term_of_posting[mask], minlength=n_terms)
-            shard_indptr = np.zeros(n_terms + 1, dtype=np.int64)
-            np.cumsum(counts, out=shard_indptr[1:])
-            shards.append({
-                "doc_ids": doc_ids[lo:hi],
-                "doc_ranks": doc_ranks[lo:hi],
-                "terms": state["terms"],
-                "indptr": shard_indptr,
-                "posting_docs": posting_docs[mask] - lo,
-                "posting_impacts": impacts[mask],
-                "k1": state["k1"],
-                "b": state["b"],
-            })
-        return shards
-
     # ------------------------------------------------------------------ #
     # retrieval
     # ------------------------------------------------------------------ #
@@ -735,30 +665,6 @@ class CharNGramIndex:
         index._compiled = True
         return index
 
-    @classmethod
-    def shard_state(cls, state: dict[str, np.ndarray], num_shards: int
-                    ) -> list[dict[str, np.ndarray]]:
-        """Split a compiled state into ``num_shards`` document-range shards.
-
-        Rows of the embedding matrix (and the id/rank arrays) are sliced per
-        shard.  Each row's cosine score is an independent dot product and the
-        quantisation in :meth:`search` absorbs BLAS blocking noise, so shard
-        scores match the unsharded index exactly.
-        """
-        doc_ids = np.asarray(state["doc_ids"])
-        doc_ranks = np.asarray(state["doc_ranks"], dtype=np.int64)
-        matrix = np.asarray(state["matrix"])
-        return [
-            {
-                "doc_ids": doc_ids[lo:hi],
-                "doc_ranks": doc_ranks[lo:hi],
-                "matrix": np.ascontiguousarray(matrix[lo:hi]),
-                "n": state["n"],
-                "dim": state["dim"],
-            }
-            for lo, hi in shard_boundaries(len(doc_ids), num_shards)
-        ]
-
     def search(self, query: str, top_k: int = 10) -> list[SearchHit]:
         """Return the ``top_k`` most cosine-similar documents for ``query``."""
         if top_k <= 0:
@@ -795,267 +701,6 @@ class CharNGramIndex:
         """
         self.finalize()
         return [self.search(query, top_k=top_k) for query in queries]
-
-
-# --------------------------------------------------------------------------- #
-# sharded execution
-# --------------------------------------------------------------------------- #
-class _ShardSet:
-    """The executor payload of a :class:`ShardedBackend`: shard states plus a
-    per-process cache of the restored shard indexes.
-
-    The states (plain array dicts) are what crosses a process boundary; each
-    worker restores a shard lazily on first touch and keeps it for the life
-    of the pool, so per-task traffic is only queries out and hits back.
-
-    Every worker receives the full shard set and restores whichever shards
-    the pool happens to hand it, so a worker's resident set can grow toward
-    the whole index over time (bounded by pool size x index size in the
-    worst case).  Pinning shard *i* to worker *i* — true shard affinity —
-    would bound each worker to one shard; that is the ROADMAP's next step
-    for genuinely large indexes.
-    """
-
-    def __init__(self, backend_name: str, states: list[dict[str, np.ndarray]]):
-        self.backend_name = backend_name
-        self.states = states
-        self._restored: dict[int, RetrievalBackend] = {}
-
-    def shard(self, index: int) -> RetrievalBackend:
-        backend = self._restored.get(index)
-        if backend is None:
-            backend = restore_backend(self.backend_name, self.states[index])
-            self._restored[index] = backend
-        return backend
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getstate__(self):
-        # Restored shards never travel: each process rebuilds its own.
-        return {"backend_name": self.backend_name, "states": self.states}
-
-    def __setstate__(self, state):
-        self.backend_name = state["backend_name"]
-        self.states = state["states"]
-        self._restored = {}
-
-
-def _search_shard_task(shard_set: _ShardSet, task):
-    """Executor task: run one query batch against one shard (any process)."""
-    shard_index, queries, top_k = task
-    return shard_set.shard(shard_index).search_batch(queries, top_k=top_k)
-
-
-def _shard_of(task) -> int:
-    """Breaker key of a shard-search task (tasks are ``(shard, queries, k)``)."""
-    return task[0]
-
-
-class ShardedBackend:
-    """Fan ``search_batch`` out across document-range shards of one index.
-
-    Wraps any registered :class:`RetrievalBackend`: the wrapped index's
-    compiled state is split into ``num_shards`` array-slice shards via its
-    ``shard_state`` classmethod, each shard is served as an independent
-    query-only index, and searches are distributed through a
-    :class:`~repro.runtime.SearchExecutor` (``serial`` by default; ``thread``
-    or ``process`` for actual parallelism — the shard states cross into
-    worker processes once, at pool start-up).
-
-    **Bitwise parity.**  Shards cover disjoint document ranges, so every
-    document's score is computed exactly as in the unsharded index; any
-    document in the global top-k is necessarily in its own shard's top-k,
-    and re-sorting the union of shard top-k lists by ``(-score, doc_id)``
-    therefore reproduces the unsharded ranking bit for bit.  The conformance
-    suite asserts this for every registered backend at 1, 2 and 7 shards.
-
-    The wrapper is query-only (``add_document`` raises); it exposes the
-    *unsharded* compiled state through :meth:`export_state`, so service
-    bundles persist the canonical arrays plus a shard plan instead of K
-    shard copies.  Like the concrete backends, a ``ShardedBackend`` instance
-    may serve one ``search_batch`` at a time; the executor it owns must not
-    be shared with other payloads.
-
-    **Fault tolerance.**  With a :class:`~repro.runtime.RuntimePolicy` (the
-    default), shard searches run through a
-    :class:`~repro.runtime.ResilientExecutor`: each shard gets per-task
-    deadlines, bounded retries and its own circuit breaker, and a shard whose
-    dispatch still fails (or whose breaker is open) is searched *serially in
-    this process* against the same shard state — identical code path, so
-    results stay bitwise-identical and only latency degrades.  Only when that
-    local fallback fails too does :meth:`search_batch` raise
-    :class:`~repro.core.errors.ShardUnavailable`.  Pass ``policy=None`` for
-    the bare fan-out (benchmarks measure the wrapper overhead against it).
-    """
-
-    backend_name: ClassVar[str] = "sharded"
-
-    def __init__(self, backend: RetrievalBackend, num_shards: int = 2,
-                 executor=None, policy="default"):
-        if isinstance(backend, ShardedBackend):
-            raise TypeError("refusing to shard an already-sharded backend")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        inner_name = getattr(type(backend), "backend_name", None)
-        if not inner_name or inner_name not in _BACKENDS:
-            raise ValueError(
-                f"{type(backend).__name__} is not a registered backend; "
-                "register it so shard workers can restore shards by name"
-            )
-        if not hasattr(type(backend), "shard_state"):
-            raise TypeError(
-                f"{type(backend).__name__} does not implement shard_state"
-            )
-        backend.finalize()
-        self._inner = backend
-        self.inner_backend_name = inner_name
-        self.num_shards = num_shards
-        self._state = backend.export_state()
-        self._shard_set = _ShardSet(
-            inner_name, type(backend).shard_state(self._state, num_shards)
-        )
-        if executor is None:
-            from repro.runtime import SerialExecutor
-
-            executor = SerialExecutor()
-        self.executor = executor
-        self.executor.configure(self._shard_set)
-        if policy == "default":
-            from repro.runtime.resilience import RuntimePolicy
-
-            policy = RuntimePolicy()
-        self.policy = policy
-        if policy is None:
-            self._dispatch = self.executor
-            self._resilience = None
-        else:
-            from repro.runtime.resilience import ResilienceStats, ResilientExecutor
-
-            self._resilience = ResilienceStats()
-            self._dispatch = ResilientExecutor(
-                self.executor, policy, target_of=_shard_of, stats=self._resilience
-            )
-
-    # ------------------------------------------------------------------ #
-    def add_document(self, doc_id: str, text: str) -> None:
-        raise RuntimeError(
-            "ShardedBackend is query-only: rebuild the wrapped index and "
-            "re-shard to add documents"
-        )
-
-    def finalize(self) -> None:
-        """No-op: shards are built from an already-compiled state."""
-
-    @property
-    def is_finalized(self) -> bool:
-        return True
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._inner
-
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict[str, np.ndarray]:
-        """The wrapped index's *unsharded* compiled state (for bundles)."""
-        return self._state
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> ShardedBackend:
-        raise NotImplementedError(
-            "restore the inner backend with restore_backend(name, state) and "
-            "wrap it: ShardedBackend(inner, num_shards, executor)"
-        )
-
-    @classmethod
-    def shard_state(cls, state: dict[str, np.ndarray], num_shards: int):
-        raise NotImplementedError("ShardedBackend states are already sharded")
-
-    # ------------------------------------------------------------------ #
-    def search(self, query: str, top_k: int = 10) -> list[SearchHit]:
-        return self.search_batch([query], top_k=top_k)[0]
-
-    def search_batch(self, queries: Sequence[str], top_k: int = 10
-                     ) -> list[list[SearchHit]]:
-        """Search all shards through the executor and merge per-shard top-k."""
-        queries = list(queries)
-        if not queries or top_k <= 0:
-            return [[] for _ in queries]
-        tasks = [
-            (shard_index, queries, top_k) for shard_index in range(self.num_shards)
-        ]
-        if self._resilience is None:
-            per_shard = self.executor.map(_search_shard_task, tasks)
-        else:
-            per_shard = self._search_resilient(tasks, queries, top_k)
-        merged: list[list[SearchHit]] = []
-        for query_index in range(len(queries)):
-            union = [
-                hit
-                for shard_hits in per_shard
-                for hit in shard_hits[query_index]
-            ]
-            union.sort(key=lambda hit: (-hit.score, hit.doc_id))
-            merged.append(union[:top_k])
-        return merged
-
-    def _search_resilient(self, tasks, queries, top_k) -> list:
-        """Dispatch shards through the resilient executor, degrading per shard."""
-        futures = [self._dispatch.submit(_search_shard_task, task) for task in tasks]
-        per_shard = []
-        for task, future in zip(tasks, futures, strict=True):
-            try:
-                per_shard.append(future.result())
-            # repro: allow[REP104] -- degraded path: _search_shard_locally
-            # retries serially and raises ShardUnavailable on double failure
-            except Exception as error:
-                per_shard.append(
-                    self._search_shard_locally(task[0], queries, top_k, error)
-                )
-        return per_shard
-
-    def _search_shard_locally(self, shard_index: int, queries, top_k: int,
-                              error: BaseException) -> list:
-        """Serial in-process fallback for one shard (bitwise-identical results).
-
-        Restores the shard from the same exported state the workers use and
-        runs the same ``search_batch``, so degraded mode changes latency,
-        never rankings.
-        """
-        self._resilience.increment("fallbacks")
-        try:
-            shard = self._shard_set.shard(shard_index)
-            return shard.search_batch(queries, top_k=top_k)
-        except Exception as fallback_error:  # noqa: BLE001 - now truly dark
-            raise ShardUnavailable(
-                f"shard {shard_index} failed via the executor "
-                f"({type(error).__name__}: {error}) and the serial in-process "
-                f"fallback failed too"
-            ) from fallback_error
-
-    def resilience_stats(self) -> dict:
-        """Fault counters + per-shard breaker states (empty when bare)."""
-        if self._resilience is None:
-            return {"counters": {}, "breakers": {}, "breaker_trips": 0}
-        return {
-            "counters": self._resilience.snapshot(),
-            "breakers": {
-                str(target): state
-                for target, state in sorted(self._dispatch.breaker_states().items())
-            },
-            "breaker_trips": self._dispatch.breaker_trips(),
-        }
-
-    def reset_resilience_stats(self) -> None:
-        """Zero the fault counters (breaker states and trip totals persist)."""
-        if self._resilience is not None:
-            self._resilience.reset()
-
-    def close(self) -> None:
-        """Shut down the owned executor (worker pools, if any)."""
-        self.executor.close()
 
 
 def reference_search(index: BM25Index, query: str, top_k: int = 10) -> list[SearchHit]:

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Sequence
 
-from repro.kg.backends import (
-    BM25Parameters,
-    RetrievalBackend,
-    ShardedBackend,
-    create_backend,
-)
+from repro.kg.backends import BM25Parameters, RetrievalBackend, create_backend
 from repro.kg.graph import KnowledgeGraph
 from repro.text.ner import EntitySchema, detect_schema
 
@@ -44,28 +39,16 @@ class LinkerConfig:
     registered :class:`~repro.kg.backends.RetrievalBackend` built over the
     graph's entity documents when no pre-built index is supplied; ``bm25``
     parameterises that backend when it is the BM25 one.
-
-    ``num_shards``/``executor`` are the scale-out plan: with
-    ``num_shards > 1`` the index is wrapped in a
-    :class:`~repro.kg.backends.ShardedBackend` whose searches fan out
-    through the named :class:`~repro.runtime.SearchExecutor` (``serial``,
-    ``thread`` or ``process``).  Results are bitwise-identical to the
-    unsharded index regardless of the plan, so sharding is purely a
-    deployment decision.
     """
 
     max_candidates: int = 10
     bm25: BM25Parameters = field(default_factory=BM25Parameters)
     link_numbers_and_dates: bool = False
     backend: str = "bm25"
-    num_shards: int = 1
-    executor: str = "serial"
 
     def __post_init__(self) -> None:
         if self.max_candidates <= 0:
             raise ValueError("max_candidates must be positive")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
 
 
 class EntityLinker:
@@ -76,20 +59,14 @@ class EntityLinker:
     pre-built ``index`` (any backend — this is how serving processes inject
     an index restored from a bundle, and how several linkers share one
     index), or pass a ``graph`` whose entity documents are indexed into a
-    freshly created ``config.backend``.
-
-    When ``config.num_shards > 1`` the index is wrapped in a
-    :class:`~repro.kg.backends.ShardedBackend`; ``executor`` optionally
-    injects a ready :class:`~repro.runtime.SearchExecutor` for the shard
-    fan-out (otherwise one is created from ``config.executor`` by name), and
-    ``runtime_policy`` forwards a :class:`~repro.runtime.RuntimePolicy` to
-    that wrapper (``"default"`` → the stock policy; ``None`` → bare fan-out).
+    freshly created ``config.backend``.  Each mention is one in-process
+    ``index.search`` call; to use more processes, run service replicas
+    behind a :class:`~repro.fleet.FleetRouter`.
     """
 
     def __init__(self, graph: KnowledgeGraph | None = None,
                  config: LinkerConfig | None = None,
-                 index: RetrievalBackend | None = None,
-                 executor=None, runtime_policy="default"):
+                 index: RetrievalBackend | None = None):
         self.graph = graph
         self.config = config or LinkerConfig()
         if index is None:
@@ -99,20 +76,6 @@ class EntityLinker:
             index = create_backend(self.config.backend, **kwargs)
             for entity in graph.entities():
                 index.add_document(entity.entity_id, entity.document_text())
-        # Whether this linker created the sharded wrapper (and therefore owns
-        # its executor's worker pool): a pre-wrapped index stays the caller's
-        # responsibility to close.
-        self._owns_sharded_index = False
-        if self.config.num_shards > 1 and not isinstance(index, ShardedBackend):
-            if executor is None:
-                from repro.runtime import create_executor
-
-                executor = create_executor(self.config.executor)
-            index = ShardedBackend(
-                index, num_shards=self.config.num_shards, executor=executor,
-                policy=runtime_policy,
-            )
-            self._owns_sharded_index = True
         self.index = index
         # Mentions repeat heavily inside a corpus (same cities, teams, people
         # across tables); memoising the raw retrieval is a large speed-up.
@@ -193,20 +156,3 @@ class EntityLinker:
     def cache_clear(self) -> None:
         """Drop the memoised retrievals (cold-cache benchmarking)."""
         self._cached_search.cache_clear()
-
-    def close(self) -> None:
-        """Shut down worker pools behind a shard wrap this linker created.
-
-        A no-op unless the linker itself wrapped the index in a
-        :class:`~repro.kg.backends.ShardedBackend` (``config.num_shards > 1``
-        with an unwrapped index) — injected indexes and executors belong to
-        the caller.
-        """
-        if self._owns_sharded_index and isinstance(self.index, ShardedBackend):
-            self.index.close()
-
-    def __enter__(self) -> EntityLinker:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,58 +1,21 @@
-"""Execution runtime: pluggable fan-out strategies for the serving stack.
+"""Resilience runtime for the serving fleet.
 
-See :mod:`repro.runtime.executor` for the :class:`SearchExecutor` protocol
-and the ``serial`` / ``thread`` / ``process`` implementations.  Call sites
-select one by name::
-
-    from repro.runtime import create_executor
-
-    executor = create_executor("process", max_workers=4)
-
-which is the same registry idiom the retrieval backends use
-(:func:`repro.kg.backends.create_backend`).
-
-:mod:`repro.runtime.resilience` layers deadlines, bounded retries and
-per-target circuit breakers over any executor (``ResilientExecutor`` +
-``RuntimePolicy``), and :mod:`repro.runtime.faults` provides the matching
-deterministic fault injector (``FaultPlan`` + ``FaultyExecutor``) so every
-failure mode is reproducible in tests.
+:mod:`repro.runtime.resilience` holds the retry policy the fleet runs under
+(``RuntimePolicy``), its seeded retry spacing (``Backoff``) and the
+per-target ``CircuitBreaker`` the router keeps for each replica;
+:mod:`repro.runtime.faults` provides the matching deterministic fault
+injector (``FaultPlan`` + ``FaultyEndpoint``) so every replica failure mode
+is reproducible in tests.
 """
 
-from repro.runtime.executor import (
-    ProcessExecutor,
-    SearchExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    available_executors,
-    create_executor,
-    default_worker_count,
-    register_executor,
-)
-from repro.runtime.faults import FaultPlan, FaultRule, FaultyEndpoint, FaultyExecutor
-from repro.runtime.resilience import (
-    Backoff,
-    CircuitBreaker,
-    ResilienceStats,
-    ResilientExecutor,
-    RuntimePolicy,
-)
+from repro.runtime.faults import FaultPlan, FaultRule, FaultyEndpoint
+from repro.runtime.resilience import Backoff, CircuitBreaker, RuntimePolicy
 
 __all__ = [
-    "SearchExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "register_executor",
-    "create_executor",
-    "available_executors",
-    "default_worker_count",
     "RuntimePolicy",
     "Backoff",
     "CircuitBreaker",
-    "ResilienceStats",
-    "ResilientExecutor",
     "FaultPlan",
     "FaultRule",
-    "FaultyExecutor",
     "FaultyEndpoint",
 ]

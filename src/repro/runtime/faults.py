@@ -1,21 +1,13 @@
-"""Deterministic fault injection for the execution runtime.
+"""Deterministic fault injection for the serving fleet.
 
-Testing the resilience layer against *real* failures — killed worker
-processes, wall-clock hangs — is slow and flaky.  This module makes every
-failure mode a first-class, reproducible test input instead:
+Testing failover against *real* failures — killed replica processes,
+wall-clock hangs — is slow and flaky.  This module makes every failure mode
+a first-class, reproducible test input instead:
 
-* :class:`FaultPlan` — a seeded script of faults ("fail the task for shard 2
-  once with ``TimeoutError``", "kill a worker on call 5", "delay 50 ms"),
-  built from chainable rules;
-* :class:`FaultyExecutor` — wraps any registered
-  :class:`~repro.runtime.executor.SearchExecutor` and consults the plan at
-  the submission boundary, *in the parent process*.  A matching rule raises
-  the scripted error (a ``crash`` rule raises ``BrokenProcessPool``, exactly
-  what a dead worker produces) or calls the injectable ``sleep`` — so no real
-  process dies, no wall clock elapses, and the wrapped executor can even be a
-  plain :class:`~repro.runtime.executor.SerialExecutor`;
-* :class:`FaultyEndpoint` — the same idea one tier up, at the fleet's wire
-  boundary: it wraps a replica endpoint (anything with
+* :class:`FaultPlan` — a seeded script of faults ("fail replica-0's
+  ``annotate_batch`` once with ``ConnectionResetError``", "delay 50 ms on
+  the third call"), built from chainable rules;
+* :class:`FaultyEndpoint` — wraps a replica endpoint (anything with
   ``request(op, payload, deadline_s=...)`` and ``close()``, i.e.
   :class:`~repro.fleet.wire.ReplicaClient`) and consults the plan before
   each request under the task key ``(replica_name, op)``.  A scripted
@@ -24,23 +16,21 @@ failure mode a first-class, reproducible test input instead:
   a replica dying mid-batch as the router sees it, so the fleet chaos suite
   exercises worker death and failover without killing a real process.
 
-Because faults fire at the boundary rather than inside task functions,
-nothing extra has to be picklable and the same plan drives all three
-executors identically.  ``plan.fired`` records every injection (rule index,
-call index, task) so tests can assert exactly which faults fired.
+Faults fire at the boundary, in the calling process, and a ``delay`` rule
+sleeps on an injectable clock, so no process dies and no wall clock
+elapses.  ``plan.fired`` records every injection (rule index, call index,
+task) so tests can assert exactly which faults fired.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
-from typing import Any, ClassVar
+from typing import Any
 
-__all__ = ["FaultRule", "FaultPlan", "FaultyExecutor", "FaultyEndpoint"]
+__all__ = ["FaultRule", "FaultPlan", "FaultyEndpoint"]
 
 
 @dataclass
@@ -48,15 +38,14 @@ class FaultRule:
     """One scripted fault: what to inject, on which tasks, how many times.
 
     ``kind``
-        ``"error"`` raises ``error``; ``"crash"`` raises ``BrokenProcessPool``
-        (a dead worker, as the pool reports it); ``"delay"`` sleeps
-        ``delay_s`` on the injected clock, then lets the task run.
+        ``"error"`` raises ``error``; ``"delay"`` sleeps ``delay_s`` on the
+        injected clock, then lets the task run.
     ``times``
         How many matching calls fire this rule; ``None`` means every one
         (a permanently-broken target).
     ``match``
-        Optional task predicate — e.g. ``lambda task: task[0] == 2`` targets
-        shard 2 of a shard-search batch.  ``None`` matches every task.
+        Optional task predicate — e.g. ``lambda task: task[0] == "replica-1"``
+        targets one replica's requests.  ``None`` matches every task.
     ``on_calls``
         Optional set of 1-based indices *within this rule's matching calls*:
         ``{3}`` fires only on the third matching call.
@@ -72,7 +61,7 @@ class FaultRule:
     fired_count: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("error", "crash", "delay"):
+        if self.kind not in ("error", "delay"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == "error" and self.error is None:
             raise ValueError("an 'error' rule needs an exception instance")
@@ -95,9 +84,9 @@ class FaultRule:
 class FaultPlan:
     """A deterministic, thread-safe script of faults to inject.
 
-    Build it with the chainable :meth:`fail` / :meth:`crash_worker` /
-    :meth:`delay` calls, hand it to a :class:`FaultyExecutor`, and the same
-    plan produces the same failures on every run.  ``seed`` is carried for
+    Build it with the chainable :meth:`fail` / :meth:`delay` calls, hand it
+    to a :class:`FaultyEndpoint`, and the same plan produces the same
+    failures on every run.  ``seed`` is carried for
     symmetry with :class:`~repro.runtime.resilience.RuntimePolicy` — rules
     fire by counting, not by chance, so determinism never rests on it.
     """
@@ -125,19 +114,10 @@ class FaultPlan:
             on_calls=None if on_calls is None else frozenset(on_calls),
         ))
 
-    def crash_worker(self, *, times: int | None = 1,
-                     match: Callable[[Any], bool] | None = None,
-                     on_calls: Sequence[int] | None = None) -> FaultPlan:
-        """Simulate a dead pool worker (raises ``BrokenProcessPool``)."""
-        return self._add(FaultRule(
-            kind="crash", times=times, match=match,
-            on_calls=None if on_calls is None else frozenset(on_calls),
-        ))
-
     def delay(self, seconds: float, *, times: int | None = 1,
               match: Callable[[Any], bool] | None = None,
               on_calls: Sequence[int] | None = None) -> FaultPlan:
-        """Sleep ``seconds`` (on the executor's injectable clock) then proceed."""
+        """Sleep ``seconds`` (on the endpoint's injectable clock) then proceed."""
         return self._add(FaultRule(
             kind="delay", delay_s=seconds, times=times, match=match,
             on_calls=None if on_calls is None else frozenset(on_calls),
@@ -149,8 +129,8 @@ class FaultPlan:
     def apply(self, task: Any, *, sleep: Callable[[float], None]) -> None:
         """Fire the first matching rule for ``task``, if any.
 
-        Raises the scripted exception for ``error``/``crash`` rules; calls
-        ``sleep`` for ``delay`` rules and returns so the task proceeds.
+        Raises the scripted exception for ``error`` rules; calls ``sleep``
+        for ``delay`` rules and returns so the task proceeds.
         """
         with self._lock:
             self._calls += 1
@@ -166,73 +146,12 @@ class FaultPlan:
         if fired.kind == "delay":
             sleep(fired.delay_s)
             return
-        if fired.kind == "crash":
-            raise BrokenProcessPool(
-                "injected worker crash (a process in the pool terminated)"
-            )
         raise fired.error
 
     @property
     def calls(self) -> int:
         with self._lock:
             return self._calls
-
-
-class FaultyExecutor:
-    """Inject a :class:`FaultPlan` into any executor at the submit boundary.
-
-    Satisfies the :class:`~repro.runtime.executor.SearchExecutor` protocol.
-    Faults fire in the parent process before the task reaches the inner
-    executor, so plans may hold unpicklable predicates and scripted
-    exceptions even when wrapping a process pool.  ``submit`` returns an
-    already-failed future when a fault fires, mirroring how a pool surfaces a
-    worker death to the caller.
-    """
-
-    executor_name: ClassVar[str] = "faulty"
-
-    def __init__(self, inner, plan: FaultPlan,
-                 sleep: Callable[[float], None] = time.sleep):
-        self._inner = inner
-        self.plan = plan
-        self._sleep = sleep
-
-    @property
-    def workers(self) -> int:
-        return self._inner.workers
-
-    def configure(self, payload: Any) -> None:
-        self._inner.configure(payload)
-
-    def map(self, fn, tasks: Sequence[Any]) -> list:
-        results = []
-        for task in tasks:
-            self.plan.apply(task, sleep=self._sleep)
-            results.extend(self._inner.map(fn, [task]))
-        return results
-
-    def submit(self, fn, task) -> Future:
-        try:
-            self.plan.apply(task, sleep=self._sleep)
-        # repro: allow[REP104] -- scripted fault: the injected error is set on
-        # the returned future so the caller's result() re-raises it
-        except BaseException as error:
-            future: Future = Future()
-            future.set_exception(error)
-            return future
-        return self._inner.submit(fn, task)
-
-    def recover(self) -> None:
-        self._inner.recover()
-
-    def close(self) -> None:
-        self._inner.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 class FaultyEndpoint:
@@ -247,7 +166,7 @@ class FaultyEndpoint:
         plan = FaultPlan().fail(ConnectionResetError("replica died"),
                                 match=lambda t: t == ("replica-0", "annotate_batch"))
 
-    A firing ``error``/``crash`` rule raises before any bytes move, which is
+    A firing ``error`` rule raises before any bytes move, which is
     exactly what the router observes when a replica dies mid-batch; a
     ``delay`` rule stalls the request on the injectable ``sleep``.  Requests
     the plan lets through hit the real replica, so predictions stay

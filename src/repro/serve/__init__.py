@@ -12,17 +12,12 @@ into something a production process can load and hit with traffic:
   ``annotate`` / ``annotate_batch`` / ``annotate_stream`` micro-batch tables
   through the length-bucketed prediction path under ``no_grad`` and report
   per-request telemetry (:class:`~repro.serve.service.ServiceStats`).
-  Part-1 preparation runs serially in the service's process; the bundle's
-  shard plan re-shards the retrieval index through a
-  :class:`~repro.kg.backends.ShardedBackend` (bitwise-identical results),
-  and more processes come from replicating whole services behind a
-  :mod:`repro.fleet` router.  Partial failures degrade instead of
-  erroring: a :class:`~repro.runtime.RuntimePolicy` governs deadlines,
-  retries and circuit breakers on the shard fan-out, a failed shard search
-  falls back to serial in-process execution (annotations stay
-  bitwise-identical), and
+  Part 1 runs serially in the service's process against one in-process
+  retrieval index; more processes come from replicating whole services
+  behind a :mod:`repro.fleet` router, which owns wire deadlines,
+  per-replica circuit breakers and failover.
   :meth:`~repro.serve.service.AnnotationService.health` reports
-  ``healthy`` / ``degraded`` / ``failed`` with reasons
+  ``healthy``, or ``failed`` once closed
   (:class:`~repro.serve.service.ServiceHealth`).
 * :class:`~repro.serve.replica.ReplicaServer` /
   :func:`~repro.serve.replica.run_replica` — the fleet worker: one process,

@@ -5,18 +5,16 @@ directory with a versioned manifest::
 
     bundle/
       manifest.json   format version, pipeline config, label vocabulary,
-                      tokenizer tokens, retrieval-backend name, shard plan
+                      tokenizer tokens, retrieval-backend name, linker
+                      config, artifact sizes and SHA-256s
       model.npz       encoder + head weights (dtype-policy-stamped)
       index.npz       the *compiled* retrieval index arrays (for BM25: CSR
                       postings offsets, doc ids and precomputed impacts)
       graph.json      the KG snapshot Part 1 queries (labels, schemas,
                       one-hop neighbourhoods with predicates)
 
-The index is always stored *unsharded* (one canonical copy of the compiled
-arrays); the shard plan — how many :class:`~repro.kg.backends.ShardedBackend`
-shards to slice it into and which :class:`~repro.runtime.SearchExecutor` to
-fan out with — travels in the linker config, so a fleet re-shards at load
-time without rewriting bundles.
+The index is stored as one copy of the compiled arrays, which a serving
+process restores as one in-process index.
 
 Unlike the legacy ``save_annotator``/``load_annotator`` pair (now thin shims
 over this module), a bundle is independent of the knowledge graph: loading
@@ -41,12 +39,7 @@ import numpy as np
 from repro.core.annotator import KGLinkConfig
 from repro.core.errors import BundleCorrupted
 from repro.core.model import KGLinkModel
-from repro.kg.backends import (
-    BM25Parameters,
-    RetrievalBackend,
-    ShardedBackend,
-    restore_backend,
-)
+from repro.kg.backends import BM25Parameters, RetrievalBackend, restore_backend
 from repro.kg.linker import LinkerConfig
 from repro.kg.snapshot import KGSnapshot
 from repro.nn.serialization import load_state_dict, save_state_dict
@@ -64,9 +57,10 @@ __all__ = [
     "tokenizer_from_tokens",
 ]
 
-#: Format 3 added the shard plan (``shard_plan`` in the manifest plus the
-#: ``num_shards``/``executor`` fields of the serialized linker config).
-#: Format-2 bundles predate it and load unchanged with a 1-shard plan.
+#: Format 3 added a shard plan (``shard_plan`` in the manifest plus
+#: ``num_shards``/``executor`` linker-config keys).  Index sharding is gone:
+#: saving no longer writes those keys and loading ignores them, since
+#: sharding never changed an answer.  Format-2 bundles load unchanged.
 BUNDLE_FORMAT_VERSION = 3
 SUPPORTED_BUNDLE_FORMATS = (2, 3)
 
@@ -83,6 +77,10 @@ REQUIRED_MANIFEST_KEYS = (
     "format_version", "config", "label_vocabulary", "tokenizer_tokens",
     "backend", "linker_config",
 )
+
+#: Keys older writers put in the manifest that no longer mean anything.
+LEGACY_MANIFEST_KEYS = ("shard_plan", "runtime_policy")
+LEGACY_LINKER_KEYS = ("num_shards", "executor")
 
 
 def _sha256(path: Path) -> str:
@@ -123,7 +121,56 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _verify_artifacts(directory: Path, manifest: dict) -> None:
+def _manifest_field(directory: Path, manifest: dict, key: str, parse):
+    """``parse(manifest[key])``, with any malformation typed as corruption."""
+    try:
+        return parse(manifest.get(key))
+    except (TypeError, ValueError, KeyError, AttributeError) as error:
+        raise BundleCorrupted(
+            f"{MANIFEST_NAME} in {directory} has a malformed {key!r} field "
+            f"({type(error).__name__}: {error})"
+        ) from error
+
+
+def _string_list(payload) -> list[str]:
+    if not isinstance(payload, list) or not all(isinstance(v, str) for v in payload):
+        raise TypeError("expected a list of strings")
+    return list(payload)
+
+
+def _object(payload) -> dict:
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected an object, found {type(payload).__name__}")
+    return payload
+
+
+def _kglink_config(payload) -> KGLinkConfig:
+    return KGLinkConfig(**_object(payload))
+
+
+def _backend_name(payload) -> str:
+    name = _object(payload)["name"]
+    if not isinstance(name, str):
+        raise TypeError("backend name must be a string")
+    return name
+
+
+def _linker_config(payload) -> LinkerConfig:
+    payload = {key: value for key, value in _object(payload).items()
+               if key not in LEGACY_LINKER_KEYS}
+    payload["bm25"] = BM25Parameters(**_object(payload["bm25"]))
+    return LinkerConfig(**payload)
+
+
+def _artifact_record(payload) -> dict[str, dict]:
+    """The integrity record; absent (format 2) reads as empty."""
+    record = _object({} if payload is None else payload)
+    for entry in record.values():
+        _object(entry)
+    return record
+
+
+def _verify_artifacts(directory: Path, recorded: dict[str, dict]) -> None:
     """Check artifact presence (always) and SHA-256 (when recorded at save).
 
     Runs *before* any array is parsed, so a truncated ``model.npz`` surfaces
@@ -131,7 +178,6 @@ def _verify_artifacts(directory: Path, manifest: dict) -> None:
     raises mid-parse.  Format-2 bundles predate the integrity record and only
     get the existence check.
     """
-    recorded = manifest.get("artifacts", {})
     for name in ARTIFACT_NAMES:
         path = directory / name
         if not path.is_file():
@@ -184,13 +230,7 @@ class ServiceBundle:
             raise RuntimeError("only fitted annotators can be bundled")
         backend = annotator.linker.index
         backend.finalize()
-        if isinstance(backend, ShardedBackend):
-            # Bundles persist the canonical unsharded arrays plus the plan
-            # (already recorded in the linker config); the wrapper's
-            # export_state() returns exactly those arrays.
-            backend_name = backend.inner_backend_name
-        else:
-            backend_name = getattr(type(backend), "backend_name", None)
+        backend_name = getattr(type(backend), "backend_name", None)
         if not backend_name:
             raise ValueError(
                 f"retrieval backend {type(backend).__name__} has no backend_name; "
@@ -231,12 +271,6 @@ class ServiceBundle:
             "tokenizer_tokens": list(self.tokenizer.vocabulary),
             "backend": {"name": self.backend_name, "documents": len(self.backend)},
             "linker_config": dataclasses.asdict(self.linker_config),
-            # The shard plan, surfaced for humans and fleet tooling; the
-            # authoritative copy is the linker config above.
-            "shard_plan": {
-                "num_shards": self.linker_config.num_shards,
-                "executor": self.linker_config.executor,
-            },
             "artifacts": {
                 name: {
                     "bytes": (directory / name).stat().st_size,
@@ -257,8 +291,8 @@ class ServiceBundle:
         SHA-256 integrity record written by :meth:`save` are all checked
         before any array is parsed, and every corruption surfaces as
         :class:`~repro.core.errors.BundleCorrupted` naming the offending
-        file.  An unsupported-but-well-formed format still raises
-        ``ValueError`` (a compatibility problem, not a corrupt bundle).
+        file or manifest field.  An unsupported-but-well-formed format still
+        raises ``ValueError`` (a compatibility problem, not a corrupt bundle).
         """
         directory = Path(directory)
         manifest = _read_manifest(directory)
@@ -268,10 +302,16 @@ class ServiceBundle:
                 f"unsupported bundle format {version!r} "
                 f"(this build reads formats {SUPPORTED_BUNDLE_FORMATS})"
             )
-        _verify_artifacts(directory, manifest)
-        config = KGLinkConfig(**manifest["config"])
-        tokenizer = tokenizer_from_tokens(manifest["tokenizer_tokens"])
-        label_vocabulary = list(manifest["label_vocabulary"])
+        config = _manifest_field(directory, manifest, "config", _kglink_config)
+        label_vocabulary = _manifest_field(directory, manifest, "label_vocabulary",
+                                           _string_list)
+        tokens = _manifest_field(directory, manifest, "tokenizer_tokens", _string_list)
+        backend_name = _manifest_field(directory, manifest, "backend", _backend_name)
+        linker_config = _manifest_field(directory, manifest, "linker_config",
+                                        _linker_config)
+        recorded = _manifest_field(directory, manifest, "artifacts", _artifact_record)
+        _verify_artifacts(directory, recorded)
+        tokenizer = tokenizer_from_tokens(tokens)
 
         encoder = create_encoder(config.plm_config(vocab_size=tokenizer.vocab_size))
         model = KGLinkModel(
@@ -297,8 +337,13 @@ class ServiceBundle:
             raise BundleCorrupted(
                 f"{INDEX_NAME} in {directory} failed to parse: {error}"
             ) from error
-        backend_name = manifest["backend"]["name"]
-        backend = restore_backend(backend_name, state)
+        try:
+            backend = restore_backend(backend_name, state)
+        except (KeyError, TypeError, ValueError) as error:
+            raise BundleCorrupted(
+                f"{INDEX_NAME} in {directory} does not restore as a "
+                f"{backend_name!r} backend: {error}"
+            ) from error
 
         try:
             graph_view = KGSnapshot.from_payload(
@@ -308,17 +353,11 @@ class ServiceBundle:
             raise BundleCorrupted(
                 f"{GRAPH_NAME} in {directory} failed to parse: {error}"
             ) from error
-        linker_payload = dict(manifest["linker_config"])
-        linker_payload["bm25"] = BM25Parameters(**linker_payload["bm25"])
-        # Format-2 manifests predate the shard plan; LinkerConfig defaults
-        # (1 shard, serial executor) reproduce their behaviour exactly.
-        linker_config = LinkerConfig(**linker_payload)
         metadata = {
             key: value
             for key, value in manifest.items()
-            if key not in ("format_version", "config", "label_vocabulary",
-                           "tokenizer_tokens", "backend", "linker_config",
-                           "shard_plan", "artifacts")
+            if key not in (*REQUIRED_MANIFEST_KEYS, "artifacts",
+                           *LEGACY_MANIFEST_KEYS)
         }
         return cls(
             config=config,

@@ -6,9 +6,7 @@ into the existing inference machinery:
 * Part-1 candidate extraction runs against the bundled
   :class:`~repro.kg.snapshot.KGSnapshot` and the restored retrieval backend —
   no :class:`~repro.kg.graph.KnowledgeGraph` object exists in a serving
-  process.  When the bundle's shard plan says so, the backend is wrapped in a
-  :class:`~repro.kg.backends.ShardedBackend` and searches fan out across
-  index shards;
+  process.  Each cell mention is one search of that single in-process index;
 * Part-2 inference micro-batches tables through the length-bucketed
   :meth:`~repro.core.trainer.KGLinkTrainer.predict` path under ``no_grad``;
 * the Part-1 prepare stage (candidate extraction + serialisation) runs
@@ -23,17 +21,10 @@ into the existing inference machinery:
   for a different table never gets another table's answer) — a warm
   request skips candidate extraction *and* serialisation — and
   :meth:`AnnotationService.stats` reports per-request telemetry
-  (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits,
-  plus the sharded index's fault counters: retries, timeouts, worker
-  crashes, fallbacks);
-* partial failures degrade instead of killing the request: a sharded
-  index's searches run behind a :class:`~repro.runtime.ResilientExecutor`
-  (deadlines, bounded retries, per-shard circuit breakers) configured by a
-  :class:`~repro.runtime.RuntimePolicy`, a shard whose dispatch still fails
-  is searched serially in-process (identical code path, so annotations stay
-  bitwise-identical), and :meth:`AnnotationService.health` reports
-  ``healthy`` / ``degraded`` / ``failed`` with reasons.  The policy travels
-  with saved bundles as optional manifest metadata.
+  (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits),
+  and :meth:`AnnotationService.health` reports ``healthy`` or, once
+  closed, ``failed``.  Fault handling (deadlines on the wire, failover,
+  per-replica circuit breakers, respawns) belongs to the fleet.
 
 ``annotate`` / ``annotate_batch`` may be called from several threads: the
 Part-1 stage, Part-2 inference (shared model state) and every telemetry
@@ -47,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from collections.abc import Iterable, Iterator
@@ -58,9 +49,7 @@ from repro.core.pipeline import KGCandidateExtractor
 from repro.core.serialization import TableSerializer
 from repro.core.trainer import KGLinkTrainer, PreparedExample
 from repro.data.table import Table, table_key
-from repro.kg.backends import ShardedBackend
 from repro.kg.linker import EntityLinker
-from repro.runtime.resilience import ResilienceStats, RuntimePolicy
 from repro.serve.bundle import ServiceBundle
 
 __all__ = ["ServiceStats", "ServiceHealth", "AnnotationService"]
@@ -80,13 +69,6 @@ class ServiceStats:
     cache_hits: int
     cache_misses: int
     cache_size: int
-    # Fault counters of the sharded retrieval path (since start or the last
-    # reset_stats); all zero when the index is not sharded.
-    retries: int = 0
-    timeouts: int = 0
-    worker_crashes: int = 0
-    fallbacks: int = 0
-    breaker_trips: int = 0
 
     @property
     def bucket_fill(self) -> float:
@@ -122,11 +104,10 @@ class ServiceStats:
             "cache_misses": int(self.cache_misses),
             "cache_hit_rate": float(self.cache_hit_rate),
             "cache_size": int(self.cache_size),
-            "retries": int(self.retries),
-            "timeouts": int(self.timeouts),
-            "worker_crashes": int(self.worker_crashes),
-            "fallbacks": int(self.fallbacks),
-            "breaker_trips": int(self.breaker_trips),
+            # Always 0 (a service has no retry or fallback path); kept
+            # because kgbench/layers.py reads both keys.
+            "retries": 0,
+            "fallbacks": 0,
         }
 
 
@@ -134,30 +115,18 @@ class ServiceStats:
 class ServiceHealth:
     """One :meth:`AnnotationService.health` snapshot.
 
-    ``status`` is ``"healthy"`` (no faults observed), ``"degraded"`` (the
-    service is answering, but breakers are open and/or fallbacks, retries or
-    timeouts have been counted since the last stats reset — annotations stay
-    bitwise-identical, only latency suffers) or ``"failed"`` (the service
-    was closed and cannot answer).  ``reasons`` says why, ``breakers`` maps
-    each breaker target to its current state.
+    ``status`` is ``"healthy"`` (the service answers) or ``"failed"`` (the
+    service was closed and cannot answer); ``reasons`` says why.
     """
 
     status: str
     reasons: tuple[str, ...] = ()
-    breakers: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """A JSON-safe snapshot (plain strings throughout).
-
-        Breaker targets are hashables, not necessarily strings — they are
-        stringified here so the payload survives ``json.dumps`` for the
-        gateway's ``/healthz`` endpoint.
-        """
+        """A JSON-safe snapshot for the gateway's ``/healthz`` endpoint."""
         return {
             "status": str(self.status),
             "reasons": [str(reason) for reason in self.reasons],
-            "breakers": {str(target): str(state)
-                         for target, state in self.breakers.items()},
         }
 
 
@@ -174,28 +143,16 @@ class AnnotationService:
         :meth:`annotate_stream`).
     cache_size:
         Bound of the processed-table LRU cache (``<= 0`` disables caching).
-    policy:
-        The :class:`~repro.runtime.RuntimePolicy` governing deadlines,
-        retries and circuit breakers on the shard-search path.  Defaults to
-        the policy saved in the bundle's metadata (``runtime_policy``), or
-        the stock policy when the bundle carries none.
     """
 
     def __init__(self, bundle: ServiceBundle, max_batch: int = 16,
-                 cache_size: int = 1024, policy: RuntimePolicy | None = None):
+                 cache_size: int = 1024):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self.bundle = bundle
         self.max_batch = max_batch
-        if policy is None:
-            saved = bundle.metadata.get("runtime_policy")
-            policy = RuntimePolicy.from_dict(saved) if saved else RuntimePolicy()
-        self.policy = policy
         config = bundle.config
-        # The bundle's shard plan lives in linker_config: num_shards > 1 makes
-        # EntityLinker wrap the restored backend in a ShardedBackend.
-        self.linker = EntityLinker(config=bundle.linker_config, index=bundle.backend,
-                                   runtime_policy=policy)
+        self.linker = EntityLinker(config=bundle.linker_config, index=bundle.backend)
         self.extractor = KGCandidateExtractor(
             bundle.graph_view, config.part1_config(), linker=self.linker
         )
@@ -207,7 +164,7 @@ class AnnotationService:
         bundle.model.eval()
         self._cache: LRUCache[str, PreparedExample] = LRUCache(maxsize=cache_size)
         # close() drains: annotate calls register here while running, and
-        # close() waits for the count to hit zero before tearing pools down.
+        # close() waits for the count to hit zero before returning.
         # (Condition's default lock is an RLock, so _ensure_open may
         # re-acquire it under _track.)
         self._lifecycle = threading.Condition()
@@ -233,41 +190,29 @@ class AnnotationService:
     # ------------------------------------------------------------------ #
     @classmethod
     def load(cls, directory: str | Path, max_batch: int = 16,
-             cache_size: int = 1024,
-             policy: RuntimePolicy | None = None) -> AnnotationService:
+             cache_size: int = 1024) -> AnnotationService:
         """Start a service from a saved bundle directory.
 
         No knowledge graph is constructed and no index is rebuilt: the
-        retrieval backend is restored from its compiled arrays (sharded per
-        the bundle's shard plan) and Part 1 queries the bundled graph
-        snapshot.
+        retrieval backend is restored from its compiled arrays and Part 1
+        queries the bundled graph snapshot.
         """
         return cls(ServiceBundle.load(directory), max_batch=max_batch,
-                   cache_size=cache_size, policy=policy)
+                   cache_size=cache_size)
 
     def save(self, directory: str | Path) -> Path:
-        """Persist the underlying bundle (see :meth:`ServiceBundle.save`).
-
-        The service's :class:`~repro.runtime.RuntimePolicy` rides along as
-        optional manifest metadata (``runtime_policy``) — the bundle format
-        is unchanged, and a reloading service starts under the same policy.
-        """
-        self.bundle.metadata["runtime_policy"] = self.policy.as_dict()
+        """Persist the underlying bundle (see :meth:`ServiceBundle.save`)."""
         return self.bundle.save(directory)
 
     def close(self) -> None:
-        """Drain in-flight requests, then shut down the owned shard pool.
+        """Stop admitting requests, then wait for in-flight ones to finish.
 
         Closing is a two-phase drain rather than a race: the service first
         stops admitting (``annotate*`` calls arriving from here on raise
         :class:`~repro.core.errors.ServiceClosed`), then waits for every
-        in-flight ``annotate``/``annotate_batch``/stream chunk to finish
-        before tearing down the shard pool — a concurrent request never sees
-        its pool die under it.  Idempotent: the second and later calls
-        return immediately (without waiting for the first call's drain).
-        Only a pool this service brought into existence is touched: a
-        sharded index that arrived pre-wrapped in the bundle (e.g. shared
-        with a still-training annotator) keeps its executor running.
+        in-flight ``annotate``/``annotate_batch``/stream chunk to finish.
+        Idempotent: the second and later calls return immediately (without
+        waiting for the first call's drain).
         """
         with self._lifecycle:
             if self._closed:
@@ -275,7 +220,6 @@ class AnnotationService:
             self._closed = True
             while self._inflight:
                 self._lifecycle.wait()
-        self.linker.close()
 
     def __enter__(self) -> AnnotationService:
         return self
@@ -439,28 +383,9 @@ class AnnotationService:
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def _resilience_snapshot(self) -> tuple[dict[str, int], dict[str, str], int]:
-        """Fault counters, breaker states and trips of the sharded index.
-
-        All zero and empty unless the linker's index is a
-        :class:`~repro.kg.backends.ShardedBackend`.  Breaker keys are
-        namespaced (``shard:…``) so one snapshot reads unambiguously.
-        """
-        counters = dict.fromkeys(ResilienceStats.COUNTERS, 0)
-        index = self.linker.index
-        if not isinstance(index, ShardedBackend):
-            return counters, {}, 0
-        shard = index.resilience_stats()
-        counters.update(shard["counters"])
-        breakers = {
-            f"shard:{target}": state for target, state in shard["breakers"].items()
-        }
-        return counters, breakers, shard["breaker_trips"]
-
     def stats(self) -> ServiceStats:
         """Cumulative telemetry since start (or the last :meth:`reset_stats`)."""
         info = self._cache.cache_info()
-        counters, _, trips = self._resilience_snapshot()
         with self._stats_lock:
             return ServiceStats(
                 requests=self._requests,
@@ -473,48 +398,17 @@ class AnnotationService:
                 cache_hits=info.hits,
                 cache_misses=info.misses,
                 cache_size=info.currsize,
-                retries=counters["retries"],
-                timeouts=counters["timeouts"],
-                worker_crashes=counters["worker_crashes"],
-                fallbacks=counters["fallbacks"],
-                breaker_trips=trips,
             )
 
     def health(self) -> ServiceHealth:
-        """One operational snapshot: ``healthy`` / ``degraded`` / ``failed``.
-
-        ``failed`` means the service is closed.  ``degraded`` means requests
-        are being answered — with bitwise-identical annotations — but the
-        sharded index's fault machinery has been doing work since the last
-        :meth:`reset_stats`: open/half-open breakers, fallback activations,
-        retries or timeouts.
-        """
-        counters, breakers, _ = self._resilience_snapshot()
+        """One operational snapshot: ``healthy``, or ``failed`` once closed."""
         with self._lifecycle:
-            closed = self._closed
-        if closed:
-            return ServiceHealth("failed", ("service closed",), breakers)
-        reasons: list[str] = []
-        not_closed = {
-            target: state for target, state in breakers.items()
-            if state != "closed"
-        }
-        for target, state in sorted(not_closed.items()):
-            reasons.append(f"breaker {target} is {state}")
-        for name in ("fallbacks", "worker_crashes", "timeouts", "retries"):
-            if counters.get(name, 0):
-                reasons.append(f"{counters[name]} {name.replace('_', ' ')}")
-        status = "degraded" if reasons else "healthy"
-        return ServiceHealth(status, tuple(reasons), breakers)
+            if self._closed:
+                return ServiceHealth("failed", ("service closed",))
+        return ServiceHealth("healthy")
 
     def reset_stats(self) -> None:
-        """Zero all telemetry counters (the cache contents stay warm).
-
-        Also clears the sharded index's fault counters, so a service whose
-        breakers have closed again reports ``healthy`` once the incident is
-        acknowledged.  Breaker *states* and lifetime trip totals are live
-        values and persist.
-        """
+        """Zero all telemetry counters (the cache contents stay warm)."""
         with self._stats_lock:
             self._requests = 0
             self._tables = 0
@@ -524,6 +418,3 @@ class AnnotationService:
             self._useful_tokens = 0
             self._padded_tokens = 0
         self._cache.reset_counters()
-        index = self.linker.index
-        if isinstance(index, ShardedBackend):
-            index.reset_resilience_stats()

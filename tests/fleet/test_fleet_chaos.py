@@ -28,16 +28,16 @@ from tests.gateway.util import post_annotate, running_gateway, table_payload
 
 pytestmark = pytest.mark.chaos
 
-CHAOS_POLICY = RuntimePolicy(timeout_s=30.0, max_retries=1,
-                             breaker_threshold=3, breaker_reset_s=60.0,
-                             backoff_base_s=0.01, backoff_max_s=0.05)
+CHAOS_POLICY = RuntimePolicy(timeout_s=30.0, breaker_threshold=3,
+                             breaker_reset_s=60.0, backoff_base_s=0.01,
+                             backoff_max_s=0.05)
 
 
 def real_fleet(bundle_dir, replicas=2, *, service_factory=None,
                heartbeat_interval_s=60.0, **router_kwargs):
     """A fleet of real trained services on thread replicas + real sockets."""
     factory = service_factory or (
-        lambda name: AnnotationService.load(bundle_dir, policy=CHAOS_POLICY))
+        lambda name: AnnotationService.load(bundle_dir))
     launcher = ThreadLauncher(factory)
     supervisor = ReplicaSupervisor(
         launcher, replicas, policy=CHAOS_POLICY,
@@ -98,8 +98,7 @@ class TestReplicaDeathMidBatch:
         proxies = []
 
         def factory(name):
-            service = AnnotationService.load(fleet_bundle,
-                                             policy=CHAOS_POLICY)
+            service = AnnotationService.load(fleet_bundle)
             if name == "replica-0" and not proxies:
                 proxy = _CrashUnderFirstBatch(service)
                 proxies.append(proxy)

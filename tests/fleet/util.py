@@ -24,7 +24,7 @@ class FakeHealth:
         self.status = status
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "reasons": [], "breakers": {}}
+        return {"status": self.status, "reasons": []}
 
 
 class FakeService:

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.core.errors import BreakerOpen
+from repro.core.errors import ReplicaUnavailable
 from repro.gateway import AdmissionQueue, Deadline, MicroBatcher, PendingRequest
 
 from tests.gateway.util import FakeClock, make_table
@@ -117,7 +117,7 @@ class TestFailureFanOut:
             queue = AdmissionQueue(maxsize=8, clock=clock)
 
             def explode(tables, budget_s):
-                raise BreakerOpen("prepare pool is open")
+                raise ReplicaUnavailable("every replica is down")
 
             batcher = MicroBatcher(explode, queue, max_batch=8,
                                    max_wait_s=0.0, clock=clock)
@@ -126,7 +126,7 @@ class TestFailureFanOut:
                 queue.offer(pending)
             await _drain(batcher, queue)
             for pending in riders:
-                with pytest.raises(BreakerOpen):
+                with pytest.raises(ReplicaUnavailable):
                     pending.future.result()
             assert batcher.batch_errors == 1
             assert batcher.batches == 0

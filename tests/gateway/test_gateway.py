@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.errors import (
-    BreakerOpen,
     BundleCorrupted,
     DeadlineExceeded,
     GatewayOverloaded,
+    ReplicaUnavailable,
     ServiceClosed,
     ServingError,
 )
@@ -163,7 +163,7 @@ class TestErrorMapping:
     @pytest.mark.parametrize("error, status", [
         (DeadlineExceeded("too slow"), 504),
         (GatewayOverloaded("shed"), 503),
-        (BreakerOpen("prepare pool open"), 503),
+        (ReplicaUnavailable("every replica is down"), 503),
         (ServiceClosed("closed"), 410),
         (BundleCorrupted("bad digest"), 500),
         (ServingError("other"), 500),
@@ -174,7 +174,7 @@ class TestErrorMapping:
         assert status_for(error) == status
 
     @pytest.mark.parametrize("error, status, name", [
-        (BreakerOpen("prepare pool open"), 503, "BreakerOpen"),
+        (ReplicaUnavailable("every replica is down"), 503, "ReplicaUnavailable"),
         (ServiceClosed("service is closed"), 410, "ServiceClosed"),
         (BundleCorrupted("digest mismatch"), 500, "BundleCorrupted"),
         (DeadlineExceeded("budget exhausted"), 504, "DeadlineExceeded"),
@@ -198,7 +198,7 @@ class TestErrorMapping:
     def test_503_carries_retry_after(self):
         async def main():
             def explode(tables, budget_s):
-                raise BreakerOpen("open")
+                raise ReplicaUnavailable("down")
 
             async with running_gateway(FakeService(annotate=explode),
                                        retry_after_s=7.0) as gateway:

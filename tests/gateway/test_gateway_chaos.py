@@ -2,12 +2,13 @@
 
 The invariant, end to end: **every request the gateway accepts is answered**
 — 200 with bitwise-correct predictions, or a typed 5xx — no matter what
-crashes, stalls or floods the service underneath.  Faults are injected
-deterministically with :class:`~repro.runtime.FaultPlan` into the shard
-executor of a :class:`~repro.kg.backends.ShardedBackend`, mirroring the
-service-level suite in ``tests/serve/test_degradation.py``; the service is
-a real trained one, so the crash/retry/fallback machinery on the other side
-of the gateway is the production path, not a stub.
+crashes, stalls or floods the seat underneath.  Faults are injected
+deterministically with :class:`~repro.runtime.FaultPlan` on the wire of a
+:class:`~repro.fleet.FleetRouter` over two thread replicas
+(:class:`~repro.runtime.FaultyEndpoint`, as in
+``tests/fleet/test_fleet_chaos.py``); the replicas serve a real trained
+bundle, so the failover machinery between the gateway and the answers is
+the production path, not a stub.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import pytest
 
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
 from repro.data.corpus import TableCorpus
+from repro.fleet import FleetRouter, ReplicaSupervisor, ThreadLauncher
+from repro.fleet.wire import ReplicaClient
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig
-from repro.kg.backends import ShardedBackend
-from repro.runtime import FaultPlan, FaultyExecutor, RuntimePolicy, create_executor
+from repro.runtime import FaultPlan, FaultyEndpoint, RuntimePolicy
 from repro.serve import AnnotationService, ServiceBundle
 
 from tests.gateway.util import get, post_annotate, running_gateway, table_payload
@@ -35,8 +37,12 @@ TINY_CONFIG = KGLinkConfig(
     max_position_embeddings=140, max_feature_tokens=8,
 )
 
-CHAOS_POLICY = RuntimePolicy(timeout_s=None, max_retries=1,
-                             breaker_threshold=2, breaker_reset_s=60.0)
+#: One wire failure ejects a replica for the rest of the test, so a single
+#: injected fault is enough to show up on ``/healthz``.
+CHAOS_POLICY = RuntimePolicy(timeout_s=30.0, breaker_threshold=1, breaker_reset_s=60.0)
+
+#: Every fault targets the first replica's batches; replica-1 stays sound.
+FIRST_REPLICA = ("replica-0", "annotate_batch")
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +76,25 @@ def expected(bundle_dir, serve_tables):
         service.close()
 
 
-def _faulty_service(bundle_dir, plan, sleeps=None):
-    """A service whose Part-1 searches fan out through ``plan``'s faults."""
+def _faulty_fleet(bundle_dir, plan, sleeps=None):
+    """Two thread replicas behind a router whose wire calls obey ``plan``.
+
+    Replica-0 is first in slot order, so an idle fleet sends it the first
+    batch: every scripted fault below is guaranteed to fire.
+    """
     record = sleeps if sleeps is not None else []
-    bundle = ServiceBundle.load(bundle_dir)
-    bundle.backend = ShardedBackend(
-        bundle.backend, num_shards=2,
-        executor=FaultyExecutor(create_executor("serial"), plan,
-                                sleep=record.append),
-        policy=CHAOS_POLICY,
+
+    def endpoint_factory(name, address):
+        client = ReplicaClient(address, name=name, default_timeout_s=30.0)
+        return FaultyEndpoint(client, plan, name=name, sleep=record.append)
+
+    supervisor = ReplicaSupervisor(
+        ThreadLauncher(lambda name: AnnotationService.load(bundle_dir)), 2,
+        policy=CHAOS_POLICY, heartbeat_interval_s=60.0, heartbeat_timeout_s=5.0,
     )
-    return AnnotationService(bundle, policy=CHAOS_POLICY)
+    supervisor.start()
+    return FleetRouter(supervisor, own_supervisor=True,
+                       endpoint_factory=endpoint_factory)
 
 
 def _accounted(stats: dict) -> bool:
@@ -100,11 +114,11 @@ async def _fire(gateway, serve_tables, headers=None):
 class TestFaultsUnderTraffic:
     def test_worker_crash_mid_batch_answers_every_rider(self, bundle_dir,
                                                         serve_tables, expected):
-        plan = FaultPlan().crash_worker(times=1)
-        with _faulty_service(bundle_dir, plan) as service:
+        plan = FaultPlan().fail(ConnectionResetError("replica died mid-batch"),
+                                times=1, match=lambda task: task == FIRST_REPLICA)
+        with _faulty_fleet(bundle_dir, plan) as router:
             async def main():
-                async with running_gateway(service, max_wait_ms=100.0,
-                                           max_batch=16) as gateway:
+                async with running_gateway(router, max_batch=16) as gateway:
                     responses = await asyncio.wait_for(
                         _fire(gateway, serve_tables), 60.0
                     )
@@ -114,68 +128,76 @@ class TestFaultsUnderTraffic:
                     stats = gateway.stats()
                     return statuses, predictions, stats
             statuses, predictions, stats = asyncio.run(main())
-            # The crash was retried away behind the gateway: same answers.
+            # The crash was failed over behind the gateway: same answers.
             assert statuses == [200] * len(serve_tables)
             assert predictions == expected
             assert _accounted(stats)
-            assert service.stats().worker_crashes == 1
-            assert service.health().status == "degraded"
+            assert len(plan.fired) == 1
+            assert router.stats().failovers == 1
 
-    def test_dead_pool_degrades_but_keeps_answering(self, bundle_dir,
-                                                    serve_tables, expected):
-        plan = FaultPlan().crash_worker(times=None)  # permanently broken
-        with _faulty_service(bundle_dir, plan) as service:
+    def test_dead_replica_degrades_but_keeps_answering(self, bundle_dir,
+                                                       serve_tables, expected):
+        plan = FaultPlan().fail(ConnectionResetError("replica-0 is gone"),
+                                times=None,
+                                match=lambda task: task == FIRST_REPLICA)
+        with _faulty_fleet(bundle_dir, plan) as router:
             async def main():
-                async with running_gateway(service, max_wait_ms=50.0) as gateway:
+                async with running_gateway(router) as gateway:
                     responses = await asyncio.wait_for(
                         _fire(gateway, serve_tables), 60.0
                     )
-                    health = (await post_annotate(gateway, table_payload(
+                    followup = (await post_annotate(gateway, table_payload(
                         serve_tables[0]))).status  # still serving afterwards
                     return [r.status for r in responses], \
-                        [r.json().get("predictions") for r in responses], health
-            statuses, predictions, followup = asyncio.run(main())
-            # In-process fallback keeps every answer identical at 200.
+                        [r.json().get("predictions") for r in responses], \
+                        followup, gateway.stats()
+            statuses, predictions, followup, stats = asyncio.run(main())
+            # The sibling replica keeps every answer identical at 200.
             assert statuses == [200] * len(serve_tables)
             assert predictions == expected
             assert followup == 200
-            assert service.stats().fallbacks >= 1
-            assert service.health().status == "degraded"
+            assert _accounted(stats)
+            assert router.stats().replica_errors >= 1
+            assert router.health().status == "degraded"
 
-    def test_slow_prepare_delays_on_injected_clock_only(self, bundle_dir,
+    def test_slow_replica_delays_on_injected_clock_only(self, bundle_dir,
                                                         serve_tables, expected):
         sleeps: list[float] = []
         plan = FaultPlan().delay(0.5, times=2)
-        with _faulty_service(bundle_dir, plan, sleeps) as service:
+        with _faulty_fleet(bundle_dir, plan, sleeps) as router:
             async def main():
-                async with running_gateway(service, max_wait_ms=50.0) as gateway:
-                    return await asyncio.wait_for(
+                async with running_gateway(router) as gateway:
+                    responses = await asyncio.wait_for(
                         _fire(gateway, serve_tables), 60.0
                     )
-            responses = asyncio.run(main())
+                    return responses, gateway.stats()
+            responses, stats = asyncio.run(main())
             assert [r.status for r in responses] == [200] * len(serve_tables)
             assert [r.json().get("predictions") for r in responses] == expected
+            assert _accounted(stats)
         assert sleeps == [0.5] * len(sleeps)
         assert len(sleeps) >= 1  # the slowdown fired, on the injected clock
 
     def test_healthz_reflects_degradation_not_death(self, bundle_dir,
                                                     serve_tables):
-        plan = FaultPlan().crash_worker(times=1)
-        with _faulty_service(bundle_dir, plan) as service:
+        plan = FaultPlan().fail(ConnectionResetError("replica died mid-batch"),
+                                times=1, match=lambda task: task == FIRST_REPLICA)
+        with _faulty_fleet(bundle_dir, plan) as router:
             async def main():
-                async with running_gateway(service, max_wait_ms=50.0) as gateway:
+                async with running_gateway(router) as gateway:
                     await _fire(gateway, serve_tables[:2])
-                    return await get(gateway, "/healthz")
-            response = asyncio.run(main())
+                    return await get(gateway, "/healthz"), gateway.stats()
+            response, stats = asyncio.run(main())
             # Degraded is still serving: 200, with the status spelled out.
             assert response.status == 200
             assert response.json()["status"] == "degraded"
+            assert _accounted(stats)
 
 
 class TestBurstOverload:
     def test_overload_sheds_typed_and_accounts_for_everything(self, bundle_dir,
                                                               serve_tables):
-        service = AnnotationService.load(bundle_dir, policy=CHAOS_POLICY)
+        service = AnnotationService.load(bundle_dir)
         try:
             async def main():
                 async with running_gateway(service, max_batch=1, max_queue=2,
@@ -213,7 +235,7 @@ class TestBurstOverload:
 class TestDrainUnderTraffic:
     def test_sigterm_style_drain_answers_admitted_work(self, bundle_dir,
                                                        serve_tables):
-        service = AnnotationService.load(bundle_dir, policy=CHAOS_POLICY)
+        service = AnnotationService.load(bundle_dir)
         started = threading.Event()
         inner_annotate = service.annotate_batch
 

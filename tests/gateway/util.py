@@ -38,7 +38,7 @@ class _FakeHealth:
         self.status = status
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "breakers": {}}
+        return {"status": self.status, "reasons": []}
 
 
 class FakeService:

@@ -1,58 +1,18 @@
-"""Fault-matrix tests of the resilience layer: deterministic chaos, no sleeps.
+"""Tests of the resilience primitives: deterministic chaos, no sleeps.
 
-The :class:`~repro.runtime.FaultPlan`/:class:`~repro.runtime.FaultyExecutor`
-pair makes every failure mode a scripted, reproducible input; these tests run
-the matrix {timeout, crash-once, crash-always, slow-task} against every
-registered executor, plus real (non-injected) deadline and worker-death cases
-against live thread/process pools.  Everything that can use an injected clock
-or sleep does, so the suite stays fast and bit-for-bit repeatable.
+:class:`~repro.runtime.RuntimePolicy`, the seeded
+:class:`~repro.runtime.Backoff`, the :class:`~repro.runtime.CircuitBreaker`
+and the :class:`~repro.runtime.FaultPlan` script that the fleet chaos suite
+injects through :class:`~repro.runtime.FaultyEndpoint`.  Everything runs on
+an injected clock or sleep, so the suite stays fast and bit-for-bit
+repeatable.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures.process import BrokenProcessPool
-
 import pytest
 
-from repro.core.errors import BreakerOpen, DeadlineExceeded, WorkerCrashed
-from repro.runtime import (
-    CircuitBreaker,
-    FaultPlan,
-    FaultyExecutor,
-    ProcessExecutor,
-    ResilientExecutor,
-    RuntimePolicy,
-    SearchExecutor,
-    create_executor,
-)
-
-EXECUTOR_NAMES = ["serial", "thread", "process"]
-
-#: No wall-clock waiting in injected-fault tests: retries "sleep" into a list
-#: and deadlines are disabled unless the test is about deadlines.
-FAST_POLICY = RuntimePolicy(timeout_s=None, max_retries=2,
-                            breaker_threshold=2, breaker_reset_s=10.0)
-
-
-def _double(payload, task):
-    """Module-level so the process executor can pickle it."""
-    return task * 2
-
-
-def _sleep_for(payload, task):
-    time.sleep(task)
-    return task
-
-
-def _crash_once_via_sentinel(payload, task):
-    """Kill this worker process the first time the sentinel file exists."""
-    try:
-        os.remove(payload)
-    except FileNotFoundError:
-        return task * 2
-    os._exit(1)
+from repro.runtime import Backoff, CircuitBreaker, FaultPlan, RuntimePolicy
 
 
 class FakeClock:
@@ -70,18 +30,10 @@ class FakeClock:
 # RuntimePolicy
 # --------------------------------------------------------------------------- #
 class TestRuntimePolicy:
-    def test_round_trips_through_dict(self):
-        policy = RuntimePolicy(timeout_s=1.5, max_retries=4, jitter_seed=7)
-        assert RuntimePolicy.from_dict(policy.as_dict()) == policy
-
-    def test_from_dict_ignores_unknown_keys(self):
-        policy = RuntimePolicy.from_dict({"max_retries": 1, "future_knob": True})
-        assert policy.max_retries == 1
-
     @pytest.mark.parametrize("bad", [
         {"timeout_s": 0.0},
         {"timeout_s": -1.0},
-        {"max_retries": -1},
+        {"backoff_max_s": -0.1},
         {"backoff_base_s": -0.1},
         {"breaker_threshold": 0},
         {"breaker_reset_s": -1.0},
@@ -117,12 +69,12 @@ class TestFaultPlan:
 
     def test_match_targets_specific_tasks(self):
         plan = FaultPlan().fail(
-            ValueError("shard 2 down"), times=None,
-            match=lambda task: task[0] == 2,
+            ValueError("replica-2 down"), times=None,
+            match=lambda task: task[0] == "replica-2",
         )
-        plan.apply((0, "q"), sleep=lambda s: None)  # other shards untouched
+        plan.apply(("replica-0", "q"), sleep=lambda s: None)  # others untouched
         with pytest.raises(ValueError):
-            plan.apply((2, "q"), sleep=lambda s: None)
+            plan.apply(("replica-2", "q"), sleep=lambda s: None)
 
     def test_on_calls_hits_the_nth_matching_call(self):
         plan = FaultPlan().fail(RuntimeError("third only"), on_calls=[3])
@@ -134,11 +86,6 @@ class TestFaultPlan:
             except RuntimeError:
                 outcomes.append("fault")
         assert outcomes == ["ok", "ok", "fault", "ok", "ok"]
-
-    def test_crash_raises_broken_process_pool(self):
-        plan = FaultPlan().crash_worker()
-        with pytest.raises(BrokenProcessPool):
-            plan.apply("task", sleep=lambda s: None)
 
     def test_delay_uses_injected_sleep(self):
         plan = FaultPlan().delay(0.05, times=2)
@@ -219,253 +166,28 @@ class TestCircuitBreaker:
 
 
 # --------------------------------------------------------------------------- #
-# ResilientExecutor: the injected fault matrix, every executor
+# Backoff
 # --------------------------------------------------------------------------- #
-@pytest.mark.chaos
-class TestFaultMatrix:
-    """{timeout, crash-once, crash-always, slow-task} x every executor."""
+class TestBackoff:
+    def test_jitter_is_seeded_and_bounded(self):
+        policy = RuntimePolicy(backoff_base_s=0.05, backoff_max_s=0.15,
+                               jitter_seed=4)
 
-    @pytest.fixture(params=EXECUTOR_NAMES)
-    def inner_name(self, request):
-        return request.param
+        def schedule():
+            backoff = Backoff(policy)
+            return [backoff.next_s(attempt) for attempt in (1, 1, 1, 2, 3, 4)]
 
-    def _resilient(self, inner_name, plan, policy=FAST_POLICY):
-        sleeps: list[float] = []
-        inner = create_executor(inner_name, max_workers=2)
-        executor = ResilientExecutor(
-            FaultyExecutor(inner, plan, sleep=sleeps.append),
-            policy, sleep=sleeps.append,
-        )
-        return executor, sleeps
-
-    def test_timeout_once_is_retried(self, inner_name):
-        plan = FaultPlan().fail(TimeoutError("injected hang"), times=1)
-        executor, _ = self._resilient(inner_name, plan)
-        with executor:
-            executor.configure(None)
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert executor.stats.snapshot()["timeouts"] == 1
-        assert executor.stats.snapshot()["retries"] == 1
-
-    def test_crash_once_is_retried(self, inner_name):
-        plan = FaultPlan().crash_worker(times=1)
-        executor, _ = self._resilient(inner_name, plan)
-        with executor:
-            executor.configure(None)
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert executor.stats.snapshot()["worker_crashes"] == 1
-
-    def test_crash_always_exhausts_retries_and_opens_breaker(self, inner_name):
-        plan = FaultPlan().crash_worker(times=None)
-        # threshold == retries + 1: the final crash both exhausts the retry
-        # budget (surfacing WorkerCrashed) and trips the breaker.
-        policy = RuntimePolicy(timeout_s=None, max_retries=1,
-                               breaker_threshold=2, breaker_reset_s=10.0)
-        executor, _ = self._resilient(inner_name, plan, policy)
-        with executor:
-            executor.configure(None)
-            with pytest.raises(WorkerCrashed):
-                executor.map(_double, [1])
-            # The breaker is open now: fail fast, no submission at all.
-            with pytest.raises(BreakerOpen):
-                executor.map(_double, [1])
-        assert executor.breaker_states() == {"default": "open"}
-        assert executor.breaker_trips() == 1
-
-    def test_slow_task_delays_on_the_injected_clock(self, inner_name):
-        plan = FaultPlan().delay(0.5, times=2)
-        executor, sleeps = self._resilient(inner_name, plan)
-        with executor:
-            executor.configure(None)
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert sleeps == [0.5, 0.5]  # no wall-clock time was spent
-
-    def test_retry_backoff_is_deterministic(self, inner_name):
-        def run():
-            plan = FaultPlan().fail(RuntimeError("flaky"), times=3)
-            executor, sleeps = self._resilient(inner_name, plan)
-            with executor:
-                executor.configure(None)
-                results = executor.map(_double, [1, 2, 3, 4])
-            return results, sleeps
-
-        first = run()
-        second = run()
-        assert first == second
-        sleeps = first[1]
-        # Tasks 1-3 each fail once at submission, so each retries at attempt
-        # 1: three sleeps, every one jittered in [0.5, 1.0] of the base
-        # backoff, and (because the jitter stream is seeded) not all equal.
-        assert len(sleeps) == 3
-        raw = FAST_POLICY.backoff_base_s
-        for slept in sleeps:
+        first = schedule()
+        assert first == schedule()  # same seed, same stream
+        # Attempt n waits min(max, base * 2**(n-1)) scaled into [0.5, 1.0].
+        for attempt, slept in zip((1, 1, 1, 2, 3, 4), first, strict=True):
+            raw = min(0.15, 0.05 * 2 ** (attempt - 1))
             assert 0.5 * raw <= slept <= raw
-        assert len(set(sleeps)) > 1
+        assert len(set(first[:3])) > 1  # jittered, not constant
+        other = Backoff(RuntimePolicy(backoff_base_s=0.05, backoff_max_s=0.15,
+                                      jitter_seed=5))
+        assert [other.next_s(1) for _ in range(3)] != first[:3]
 
-
-@pytest.mark.chaos
-class TestResilientExecutor:
-    def test_satisfies_the_executor_protocol(self):
-        plan = FaultPlan()
-        inner = create_executor("serial")
-        assert isinstance(ResilientExecutor(inner, FAST_POLICY), SearchExecutor)
-        assert isinstance(FaultyExecutor(inner, plan), SearchExecutor)
-
-    def test_submit_is_lazy_per_task_retry(self):
-        plan = FaultPlan().fail(RuntimeError("boom"), times=1)
-        sleeps: list[float] = []
-        executor = ResilientExecutor(
-            FaultyExecutor(create_executor("serial"), plan),
-            FAST_POLICY, sleep=sleeps.append,
-        )
-        with executor:
-            executor.configure(None)
-            future = executor.submit(_double, 21)
-            assert future.result() == 42
-            assert future.exception() is None
-        assert len(sleeps) == 1
-
-    def test_retries_exhausted_raises_the_last_error(self):
-        plan = FaultPlan().fail(KeyError("always"), times=None)
-        executor = ResilientExecutor(
-            FaultyExecutor(create_executor("serial"), plan),
-            RuntimePolicy(timeout_s=None, max_retries=1, breaker_threshold=5),
-            sleep=lambda s: None,
-        )
-        with executor:
-            executor.configure(None)
-            with pytest.raises(KeyError):
-                executor.submit(_double, 1).result()
-        assert executor.stats.snapshot()["retries"] == 1
-
-    def test_breaker_half_open_probe_recovers(self):
-        clock = FakeClock()
-        plan = FaultPlan().fail(RuntimeError("down"), times=2)
-        executor = ResilientExecutor(
-            FaultyExecutor(create_executor("serial"), plan),
-            RuntimePolicy(timeout_s=None, max_retries=0,
-                          breaker_threshold=2, breaker_reset_s=30.0),
-            clock=clock, sleep=lambda s: None,
-        )
-        with executor:
-            executor.configure(None)
-            for _ in range(2):
-                with pytest.raises(RuntimeError):
-                    executor.run(_double, 1)
-            with pytest.raises(BreakerOpen):
-                executor.run(_double, 1)
-            clock.advance(30.0)  # cool-down elapses: one probe allowed
-            assert executor.run(_double, 1) == 2
-            assert executor.breaker_states() == {"default": "closed"}
-
-    def test_real_deadline_on_a_thread_pool(self):
-        executor = ResilientExecutor(
-            create_executor("thread", max_workers=1),
-            RuntimePolicy(timeout_s=0.05, max_retries=0, breaker_threshold=5),
-            sleep=lambda s: None,
-        )
-        executor.configure(None)
-        try:
-            with pytest.raises(DeadlineExceeded):
-                executor.run(_sleep_for, 0.5)
-            assert executor.stats.snapshot()["timeouts"] == 1
-        finally:
-            executor.close()  # waits out the abandoned 0.5s task
-
-
-# --------------------------------------------------------------------------- #
-# real worker death: ProcessExecutor supervision
-# --------------------------------------------------------------------------- #
-@pytest.mark.chaos
-class TestProcessSupervision:
-    def test_map_respawns_after_a_real_worker_death(self, tmp_path):
-        sentinel = tmp_path / "kill-me"
-        sentinel.touch()
-        with ProcessExecutor(max_workers=1, max_respawns=1) as executor:
-            executor.configure(str(sentinel))
-            # First attempt: the worker removes the sentinel and dies, which
-            # breaks the pool; the executor respawns it and re-runs the batch.
-            assert executor.map(_crash_once_via_sentinel, [1, 2, 3]) == [2, 4, 6]
-
-    def test_map_gives_up_as_worker_crashed_after_max_respawns(self, tmp_path):
-        first = tmp_path / "kill-1"
-        second = tmp_path / "kill-2"
-
-        with ProcessExecutor(max_workers=1, max_respawns=0) as executor:
-            first.touch()
-            executor.configure(str(first))
-            with pytest.raises(WorkerCrashed):
-                executor.map(_crash_once_via_sentinel, [1])
-
-        # With one respawn allowed, two consecutive deaths still give up.
-        with ProcessExecutor(max_workers=1, max_respawns=1) as executor:
-            executor.configure(str(first))
-            first.touch()
-            second.touch()
-
-            with pytest.raises(WorkerCrashed):
-                executor.map(_crash_twice_via_sentinels,
-                             [(str(first), str(second))] * 2)
-
-    def test_resilient_submit_survives_a_real_worker_death(self, tmp_path):
-        sentinel = tmp_path / "kill-me"
-        sentinel.touch()
-        inner = ProcessExecutor(max_workers=1)
-        executor = ResilientExecutor(
-            inner,
-            RuntimePolicy(timeout_s=None, max_retries=1, breaker_threshold=5),
-            sleep=lambda s: None,
-        )
-        with executor:
-            executor.configure(str(sentinel))
-            assert executor.run(_crash_once_via_sentinel, 5) == 10
-        assert executor.stats.snapshot()["worker_crashes"] == 1
-
-    def test_recover_preserves_the_payload(self):
-        with ProcessExecutor(max_workers=1) as executor:
-            executor.configure("payload")
-            assert executor.map(_echo_payload, [0]) == ["payload"]
-            executor.recover()
-            assert executor.map(_echo_payload, [0]) == ["payload"]
-
-
-def _crash_twice_via_sentinels(payload, task):
-    first, second = task
-    for sentinel in (first, second):
-        try:
-            os.remove(sentinel)
-        except FileNotFoundError:
-            continue
-        os._exit(1)
-    return task
-
-
-def _echo_payload(payload, task):
-    return payload
-
-
-class TestShutdownOrdering:
-    def test_close_cancels_pending_futures_before_teardown(self):
-        """Regression: close() with a slow task in flight returns promptly.
-
-        With one worker, the first slow task occupies it and the rest queue;
-        close() must cancel the queue and wait only for the running task —
-        not serially drain 4 x 0.4s of queued work.
-        """
-        executor = ProcessExecutor(max_workers=1)
-        executor.configure(None)
-        executor.map(_double, [1])  # warm the pool so workers exist
-        futures = [executor.submit(_sleep_for, 0.4) for _ in range(5)]
-        start = time.perf_counter()
-        executor.close()
-        elapsed = time.perf_counter() - start
-        assert elapsed < 1.5, f"close() took {elapsed:.2f}s; queue not cancelled"
-        assert all(future.done() for future in futures)
-        assert any(future.cancelled() for future in futures)
-
-    def test_close_is_reentrant_after_cancellation(self):
-        executor = ProcessExecutor(max_workers=1)
-        executor.configure(None)
-        executor.submit(_double, 1).result()
-        executor.close()
-        executor.close()  # second close is a no-op, not an error
+    def test_attempts_are_one_based(self):
+        with pytest.raises(ValueError):
+            Backoff(RuntimePolicy()).next_s(0)

@@ -1,12 +1,9 @@
-"""Graceful-degradation tests: the service under deterministic injected faults.
+"""Bundle validation and service-lifecycle tests.
 
-The contract under test, from the resilience tentpole: whenever
-``service.health()`` reports anything other than ``failed``, annotations are
-*bitwise-identical* to the fault-free run — injected shard timeouts and
-dead shards degrade latency and light up telemetry, never change
-predictions.  Faults come from
-:class:`~repro.runtime.FaultPlan`/:class:`~repro.runtime.FaultyExecutor`, so
-no real process dies and no wall-clock time is slept.
+A bundle that fails validation raises
+:class:`~repro.core.errors.BundleCorrupted` naming the offending file or
+manifest field, before any array is parsed; a closed service refuses work
+with :class:`~repro.core.errors.ServiceClosed` and reports ``failed``.
 """
 
 from __future__ import annotations
@@ -16,10 +13,8 @@ import json
 import pytest
 
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
-from repro.core.errors import BundleCorrupted, ServiceClosed, ShardUnavailable
+from repro.core.errors import BundleCorrupted, ServiceClosed
 from repro.data.corpus import TableCorpus
-from repro.kg.backends import ShardedBackend
-from repro.runtime import FaultPlan, FaultyExecutor, RuntimePolicy, create_executor
 from repro.serve import AnnotationService, ServiceBundle
 
 TINY_CONFIG = KGLinkConfig(
@@ -28,12 +23,6 @@ TINY_CONFIG = KGLinkConfig(
     top_k_rows=5, max_tokens_per_column=12, vocab_size=900,
     max_position_embeddings=140, max_feature_tokens=8,
 )
-
-#: Small budgets so fault scenarios converge in a handful of calls; sleeps
-#: are injected (recorded, not slept) wherever the suite exercises them.
-CHAOS_POLICY = RuntimePolicy(timeout_s=None, max_retries=1,
-                             breaker_threshold=2, breaker_reset_s=60.0)
-
 
 @pytest.fixture(scope="module")
 def fitted(graph, linker, semtab_splits):
@@ -54,16 +43,6 @@ def bundle_dir(fitted, tmp_path_factory):
     return ServiceBundle.from_annotator(fitted).save(
         tmp_path_factory.mktemp("bundles") / "svc"
     )
-
-
-@pytest.fixture(scope="module")
-def expected(bundle_dir, serve_tables):
-    """The fault-free annotations every degraded run must reproduce exactly."""
-    service = AnnotationService.load(bundle_dir)
-    try:
-        return service.annotate_batch(serve_tables)
-    finally:
-        service.close()
 
 
 def _clone_bundle(bundle_dir, destination):
@@ -138,6 +117,26 @@ class TestBundleValidation:
         (clone / "manifest.json").write_text(json.dumps(manifest))
         assert ServiceBundle.load(clone).backend.is_finalized
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("config", lambda m: m["config"].update(no_such_knob=1)),
+        ("linker_config", lambda m: m.update(linker_config="bm25")),
+        ("linker_config", lambda m: m["linker_config"].pop("bm25")),
+        ("backend", lambda m: m.update(backend="bm25")),
+        ("artifacts", lambda m: m.update(artifacts=["model.npz"])),
+        ("label_vocabulary", lambda m: m.update(label_vocabulary=7)),
+    ], ids=["config-unknown-key", "linker-config-not-object",
+            "linker-config-without-bm25", "backend-string",
+            "artifacts-list", "label-vocabulary-int"])
+    def test_malformed_manifest_field_is_typed_and_named(self, bundle_dir,
+                                                        tmp_path, field,
+                                                        corrupt):
+        clone = _clone_bundle(bundle_dir, tmp_path / "malformed")
+        manifest = json.loads((clone / "manifest.json").read_text())
+        corrupt(manifest)
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BundleCorrupted, match=f"'{field}'"):
+            ServiceBundle.load(clone)
+
     def test_corruption_is_also_a_value_error(self, bundle_dir, tmp_path):
         # Legacy call sites catch ValueError around bundle loads.
         clone = _clone_bundle(bundle_dir, tmp_path / "compat")
@@ -179,121 +178,3 @@ class TestServiceClosed:
                 raise RuntimeError("sentinel")
         with pytest.raises(ServiceClosed):
             service.annotate_batch([])  # the context manager did close it
-
-
-# --------------------------------------------------------------------------- #
-# RuntimePolicy persistence
-# --------------------------------------------------------------------------- #
-class TestRuntimePolicyPersistence:
-    def test_policy_rides_in_bundle_metadata(self, bundle_dir, tmp_path):
-        policy = RuntimePolicy(timeout_s=5.0, max_retries=7, breaker_threshold=4)
-        service = AnnotationService.load(bundle_dir, policy=policy)
-        saved = service.save(tmp_path / "with-policy")
-        service.close()
-
-        manifest = json.loads((saved / "manifest.json").read_text())
-        assert manifest["format_version"] == 3  # format unchanged
-        assert manifest["runtime_policy"]["max_retries"] == 7
-
-        reloaded = AnnotationService.load(saved)
-        assert reloaded.policy == policy
-        reloaded.close()
-
-    def test_explicit_policy_overrides_saved(self, bundle_dir, tmp_path):
-        service = AnnotationService.load(
-            bundle_dir, policy=RuntimePolicy(max_retries=9))
-        saved = service.save(tmp_path / "override")
-        service.close()
-        override = RuntimePolicy(max_retries=0)
-        reloaded = AnnotationService.load(saved, policy=override)
-        assert reloaded.policy == override
-        reloaded.close()
-
-    def test_default_policy_without_metadata(self, bundle_dir):
-        service = AnnotationService.load(bundle_dir)
-        assert service.policy == RuntimePolicy()
-        service.close()
-
-
-# --------------------------------------------------------------------------- #
-# the fault matrix: sharded retrieval path
-# --------------------------------------------------------------------------- #
-@pytest.mark.chaos
-class TestShardDegradation:
-    """Injected shard faults: identical search results via the local fallback."""
-
-    @pytest.fixture()
-    def queries(self, serve_tables):
-        cells = [str(cell) for table in serve_tables[:2]
-                 for column in table.columns for cell in column.cells[:2]]
-        return cells[:8]
-
-    def _sharded(self, bundle_dir, plan, policy=CHAOS_POLICY):
-        backend = ServiceBundle.load(bundle_dir).backend
-        faulty = FaultyExecutor(create_executor("serial"), plan,
-                                sleep=lambda s: None)
-        return backend, ShardedBackend(backend, num_shards=3, executor=faulty,
-                                       policy=policy)
-
-    def test_shard_timeout_once_is_retried(self, bundle_dir, queries):
-        plan = FaultPlan().fail(TimeoutError("hang"), times=1,
-                                match=lambda task: task[0] == 1)
-        inner, sharded = self._sharded(bundle_dir, plan)
-        assert sharded.search_batch(queries, top_k=5) == inner.search_batch(
-            queries, top_k=5)
-        stats = sharded.resilience_stats()
-        assert stats["counters"]["retries"] == 1
-        assert stats["breakers"] == {"0": "closed", "1": "closed", "2": "closed"}
-
-    def test_dead_shard_falls_back_locally(self, bundle_dir, queries):
-        plan = FaultPlan().fail(RuntimeError("shard 1 down"), times=None,
-                                match=lambda task: task[0] == 1)
-        inner, sharded = self._sharded(bundle_dir, plan)
-        # Twice: first opens the breaker, second skips dispatch entirely.
-        for _ in range(2):
-            assert (sharded.search_batch(queries, top_k=5)
-                    == inner.search_batch(queries, top_k=5))
-        stats = sharded.resilience_stats()
-        assert stats["counters"]["fallbacks"] == 2
-        assert stats["breakers"]["1"] == "open"
-        assert stats["breakers"]["0"] == "closed"
-        assert stats["breaker_trips"] == 1
-
-    def test_shard_unavailable_when_fallback_fails_too(self, bundle_dir,
-                                                       queries, monkeypatch):
-        plan = FaultPlan().fail(RuntimeError("down"), times=None,
-                                match=lambda task: task[0] == 0)
-        _, sharded = self._sharded(bundle_dir, plan)
-        monkeypatch.setattr(
-            sharded._shard_set, "shard",
-            lambda index: (_ for _ in ()).throw(OSError("state gone")),
-        )
-        with pytest.raises(ShardUnavailable, match="shard 0"):
-            sharded.search_batch(queries, top_k=5)
-
-    def test_service_degrades_on_shard_faults(self, bundle_dir, serve_tables,
-                                              expected):
-        plan = FaultPlan().fail(RuntimeError("shard 2 down"), times=None,
-                                match=lambda task: task[0] == 2)
-        bundle = ServiceBundle.load(bundle_dir)
-        bundle.backend = ShardedBackend(
-            bundle.backend, num_shards=3,
-            executor=FaultyExecutor(create_executor("serial"), plan,
-                                    sleep=lambda s: None),
-            policy=CHAOS_POLICY,
-        )
-        with AnnotationService(bundle) as service:
-            assert service.annotate_batch(serve_tables) == expected
-            stats = service.stats()
-            assert stats.fallbacks >= 1
-            health = service.health()
-            assert health.status == "degraded"
-            assert health.breakers.get("shard:2") == "open"
-
-    def test_bare_policy_none_keeps_the_fast_path(self, bundle_dir, queries):
-        inner, sharded = self._sharded(bundle_dir, FaultPlan(), policy=None)
-        assert (sharded.search_batch(queries, top_k=5)
-                == inner.search_batch(queries, top_k=5))
-        assert sharded.resilience_stats() == {
-            "counters": {}, "breakers": {}, "breaker_trips": 0,
-        }

@@ -282,114 +282,61 @@ class TestCharNGramServing:
         assert service.annotate_batch(tables) == expected
 
 
-class TestShardedServing:
-    """The shard plan: persisted in the bundle, applied at load, bitwise-safe."""
+def _clone_bundle(bundle_dir, target):
+    target.mkdir()
+    for item in bundle_dir.iterdir():
+        (target / item.name).write_bytes(item.read_bytes())
+    return target, json.loads((target / "manifest.json").read_text())
 
-    def test_manifest_records_shard_plan(self, bundle_dir):
+
+class TestBundleCompatibility:
+    """Manifests written by older formats load and answer unchanged."""
+
+    def test_manifest_carries_no_shard_plan(self, bundle_dir):
         manifest = json.loads((bundle_dir / "manifest.json").read_text())
-        assert manifest["shard_plan"] == {"num_shards": 1, "executor": "serial"}
-
-    @pytest.mark.parametrize("executor_name", ["serial", "thread"])
-    def test_sharded_service_predictions_bitwise_equal(self, bundle_dir,
-                                                       serve_tables,
-                                                       executor_name):
-        import dataclasses as dc
-
-        from repro.kg.backends import ShardedBackend
-
-        reference = AnnotationService.load(bundle_dir)
-        expected = reference.annotate_batch(serve_tables)
-
-        bundle = ServiceBundle.load(bundle_dir)
-        bundle.linker_config = dc.replace(
-            bundle.linker_config, num_shards=3, executor=executor_name
-        )
-        with AnnotationService(bundle) as sharded:
-            assert isinstance(sharded.linker.index, ShardedBackend)
-            assert sharded.linker.index.num_shards == 3
-            assert sharded.annotate_batch(serve_tables) == expected
-
-    def test_shard_plan_round_trips_through_disk(self, bundle_dir, serve_tables,
-                                                 tmp_path):
-        import dataclasses as dc
-
-        from repro.kg.backends import ShardedBackend
-
-        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
-        bundle = ServiceBundle.load(bundle_dir)
-        bundle.linker_config = dc.replace(bundle.linker_config, num_shards=2)
-        directory = bundle.save(tmp_path / "sharded")
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["shard_plan"]["num_shards"] == 2
-        with AnnotationService.load(directory) as service:
-            assert isinstance(service.linker.index, ShardedBackend)
-            assert service.annotate_batch(serve_tables) == expected
-
-    def test_bundle_saved_from_sharded_service_is_canonical(self, bundle_dir,
-                                                            serve_tables,
-                                                            tmp_path):
-        # Saving a service whose linker runs sharded must write the inner
-        # backend's name and the unsharded arrays, not K shard copies.
-        import dataclasses as dc
-
-        bundle = ServiceBundle.load(bundle_dir)
-        bundle.linker_config = dc.replace(bundle.linker_config, num_shards=2)
-        with AnnotationService(bundle) as service:
-            expected = service.annotate_batch(serve_tables)
-            bundle.backend = service.linker.index  # the ShardedBackend
-            directory = bundle.save(tmp_path / "resaved")
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["backend"]["name"] == "bm25"
-        with AnnotationService.load(directory) as restored:
-            assert restored.annotate_batch(serve_tables) == expected
-
-    def test_service_close_spares_shared_sharded_index(self, graph,
-                                                       semtab_splits):
-        # An annotator trained with a sharded linker hands its ShardedBackend
-        # to into_service() by reference; closing the service must not tear
-        # down the executor the (still-training) annotator depends on.
-        from repro.kg.backends import ShardedBackend
-        from repro.kg.linker import EntityLinker, LinkerConfig
-
-        linker = EntityLinker(graph, LinkerConfig(max_candidates=8, num_shards=2))
-        assert isinstance(linker.index, ShardedBackend)
-        annotator = KGLinkAnnotator(graph, TINY_CONFIG, linker=linker)
-        train = TableCorpus("train", semtab_splits.train.tables[:6],
-                            semtab_splits.train.label_vocabulary)
-        annotator.fit(train)
-        table = semtab_splits.test.tables[0]
-        expected = annotator.annotate(table)
-        with annotator.into_service() as service:
-            assert service.linker.index is linker.index
-            assert service.annotate(table) == expected
-        # The annotator keeps working after the service shut down: cold
-        # caches force real searches through the (still-open) sharded index.
-        annotator._processed_cache.clear()
-        linker.cache_clear()
-        assert annotator.annotate(table) == expected
-        linker.close()
+        assert "shard_plan" not in manifest
+        assert "runtime_policy" not in manifest
+        assert not {"num_shards", "executor"} & set(manifest["linker_config"])
 
     def test_format_2_bundles_load_unchanged(self, bundle_dir, serve_tables,
                                              tmp_path):
         expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
-        clone = tmp_path / "v2"
-        clone.mkdir()
-        for item in bundle_dir.iterdir():
-            (clone / item.name).write_bytes(item.read_bytes())
-        manifest = json.loads((clone / "manifest.json").read_text())
-        # Reconstruct what a PR-4 writer produced: format 2, no shard plan,
-        # no post-v2 config/linker knobs.
+        clone, manifest = _clone_bundle(bundle_dir, tmp_path / "v2")
+        # Reconstruct what a format-2 writer produced: no integrity record,
+        # no post-v2 config knobs.
         manifest["format_version"] = 2
-        manifest.pop("shard_plan")
-        manifest["linker_config"].pop("num_shards")
-        manifest["linker_config"].pop("executor")
+        manifest.pop("artifacts")
         manifest["config"].pop("length_bucketed_training")
         (clone / "manifest.json").write_text(json.dumps(manifest))
-        bundle = ServiceBundle.load(clone)
-        assert bundle.linker_config.num_shards == 1
-        assert bundle.linker_config.executor == "serial"
-        service = AnnotationService(bundle)
+        service = AnnotationService(ServiceBundle.load(clone))
         assert service.annotate_batch(serve_tables) == expected
+
+    def test_format_3_shard_plan_bundles_load_unsharded(self, bundle_dir,
+                                                        serve_tables, tmp_path):
+        # A format-3 manifest written while index sharding existed: a
+        # 2-shard process plan, the matching linker-config keys and the
+        # service's runtime policy as metadata.  Sharding never changed an
+        # answer, so the plan is ignored and the index serves unsharded.
+        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
+        clone, manifest = _clone_bundle(bundle_dir, tmp_path / "v3-sharded")
+        assert manifest["format_version"] == 3
+        manifest["shard_plan"] = {"num_shards": 2, "executor": "process"}
+        manifest["linker_config"].update(num_shards=2, executor="process")
+        manifest["runtime_policy"] = {"timeout_s": 30.0, "max_retries": 2}
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+
+        bundle = ServiceBundle.load(clone)
+        assert bundle.linker_config == ServiceBundle.load(bundle_dir).linker_config
+        assert "shard_plan" not in bundle.metadata
+        assert "runtime_policy" not in bundle.metadata
+        with AnnotationService(bundle) as service:
+            assert type(service.linker.index) is type(bundle.backend)
+            assert service.annotate_batch(serve_tables) == expected
+            resaved = json.loads(
+                (service.save(tmp_path / "resaved") / "manifest.json").read_text()
+            )
+        assert "shard_plan" not in resaved
+        assert "runtime_policy" not in resaved
 
 
 class TestContentKeying:
@@ -490,7 +437,7 @@ class TestStatsSerialization:
         with AnnotationService.load(bundle_dir) as service:
             payload = service.health().to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload == {"status": "healthy", "reasons": [], "breakers": {}}
+        assert payload == {"status": "healthy", "reasons": []}
 
 
 class TestAnnotateBudget:
