@@ -192,12 +192,6 @@ def test_service_annotate_batch(benchmark, serving):
     assert len(results) == len(tables)
 
 
-def test_service_annotate_stream(benchmark, serving):
-    service, tables = serving
-    results = benchmark(lambda: list(service.annotate_stream(tables, max_batch=8)))
-    assert len(results) == len(tables)
-
-
 def test_training_step(benchmark):
     encoder = MiniBERT(PLMConfig(vocab_size=1000, hidden_size=64, num_layers=2, num_heads=4,
                                  intermediate_size=128, max_position_embeddings=160))

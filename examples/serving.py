@@ -11,18 +11,17 @@ The serving-first flow introduced by ``repro.serve``:
 3. in the serving process, ``AnnotationService.load(bundle_dir)`` — no
    ``KnowledgeGraph`` object, no index rebuild;
 4. answer one ``annotate_batch`` request;
-5. answer the same tables as a stream (``annotate_stream``);
-6. watch the per-request telemetry (``service.stats()``);
-7. put the async HTTP gateway (``repro.gateway``) in front and fire mixed
+5. watch the per-request telemetry (``service.stats()``);
+6. put the async HTTP gateway (``repro.gateway``) in front and fire mixed
    ``X-Deadline-Ms`` traffic at it: requests with room coalesce into
    shared micro-batches, hopeless budgets are refused with typed 504s,
    and the accounting proves nothing was silently dropped;
-8. replicate the tier (``repro.fleet``): two worker *processes* each load
+7. replicate the tier (``repro.fleet``): two worker *processes* each load
    the same bundle behind one gateway — a supervisor keeps them alive, a
    router picks the least-loaded replica per batch, and a shared results
    cache answers repeat tables from router memory (the second pass of the
    same traffic never touches a replica);
-9. operate under failure: script a deterministic replica fault with
+8. operate under failure: script a deterministic replica fault with
    ``FaultPlan`` / ``FaultyEndpoint`` on the same fleet's wire and watch
    the router fail the batch over to the other replica — the answers stay
    bitwise-identical.
@@ -82,28 +81,21 @@ def main() -> None:
     print(f"   {len(tables) / elapsed:.0f} tables/s; "
           f"first table -> {predictions[0]}")
 
-    print("5) the same tables as a stream (one micro-batch at a time) ...")
-    start = time.perf_counter()
-    streamed = list(service.annotate_stream(iter(tables), max_batch=8))
-    elapsed = time.perf_counter() - start
-    assert streamed == predictions
-    print(f"   {len(tables) / elapsed:.0f} tables/s, identical results")
-
     stats = service.stats()
-    print("6) telemetry:")
+    print("5) telemetry:")
     print(f"   requests={stats.requests}  tables={stats.tables}")
     print(f"   part1 {stats.part1_seconds * 1e3:.0f} ms total, "
           f"encode {stats.encode_seconds * 1e3:.0f} ms total")
     print(f"   bucket fill {stats.bucket_fill:.0%}  "
           f"cache hit rate {stats.cache_hit_rate:.0%}")
 
-    print("7) fronting the service with the async gateway "
+    print("6) fronting the service with the async gateway "
           "(mixed-deadline traffic) ...")
     asyncio.run(gateway_demo(bundle_dir, tables, predictions))
 
-    print("8) replicating the tier: 2 worker processes behind one gateway ...")
+    print("7) replicating the tier: 2 worker processes behind one gateway ...")
     # Every replica call goes through a FaultyEndpoint: its plan is empty
-    # (fault-free) until step 9 scripts a failure on the same fleet.
+    # (fault-free) until step 8 scripts a failure on the same fleet.
     plan = FaultPlan(seed=0)
 
     def endpoint_factory(name, address):
@@ -130,7 +122,7 @@ def main() -> None:
 def replica_fault_demo(router: FleetRouter, plan: FaultPlan,
                        service: AnnotationService, tables) -> None:
     """Step 9: a scripted replica death mid-batch, absorbed by failover."""
-    print("9) operating under failure: the next replica batch dies "
+    print("8) operating under failure: the next replica batch dies "
           "mid-request ...")
     # Tables the fleet has not seen, so the shared results cache cannot
     # answer them and the batch must travel the wire.
@@ -247,7 +239,7 @@ async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
             return response.status, (time.perf_counter() - start) * 1e3, index
 
         async def wave() -> list[tuple[int, float, int]]:
-            # The same mix as step 7: three generous budgets, one hopeless.
+            # The same mix as step 6: three generous budgets, one hopeless.
             return await asyncio.gather(*[
                 fire(index, 0.5 if index % 4 == 3 else 30_000.0)
                 for index in range(32)

@@ -27,11 +27,8 @@ from repro.core.serialization import SerializedTable, TableSerializer, Serialize
 from repro.core.model import KGLinkModel
 from repro.core.trainer import KGLinkTrainer, TrainingConfig, TrainingHistory
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
-from repro.core.persistence import load_annotator, save_annotator
 
 __all__ = [
-    "save_annotator",
-    "load_annotator",
     "CacheInfo",
     "LRUCache",
     "ServingError",

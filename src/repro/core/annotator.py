@@ -25,21 +25,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-
-from repro.core.cache import CacheInfo, LRUCache
 from repro.core.model import KGLinkModel
-from repro.core.pipeline import KGCandidateExtractor, Part1Config, ProcessedTable
+from repro.core.pipeline import KGCandidateExtractor, Part1Config
 from repro.core.serialization import SerializerConfig, TableSerializer
 from repro.core.trainer import KGLinkTrainer, TrainingConfig, TrainingHistory
 from repro.data.corpus import TableCorpus
 from repro.data.metrics import EvaluationResult, evaluate_predictions
-from repro.data.table import Table, table_key
+from repro.data.table import Table
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.plm.config import PLMConfig
 from repro.plm.pretrain import MLMPretrainer, PretrainConfig
 from repro.text.tokenizer import WordPieceTokenizer
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> annotator)
+    from repro.serve.service import AnnotationService
 
 __all__ = ["KGLinkConfig", "KGLinkAnnotator"]
 
@@ -71,8 +73,6 @@ class KGLinkConfig:
     max_tokens_per_column: int = 28
     max_columns: int = 8
     max_feature_tokens: int = 20
-    # Part-1 processed-table cache (LRU; <= 0 disables caching)
-    processed_cache_size: int = 4096
     # Training
     epochs: int = 5
     batch_size: int = 16
@@ -182,30 +182,13 @@ class KGLinkAnnotator:
         self.fit_seconds: float = 0.0
         self.part1_seconds: float = 0.0
         self.inference_seconds: float = 0.0
-        # Bounded Part-1 cache (the serving layer uses the same LRU class), so
-        # a long-lived annotator no longer grows without limit.
-        self._processed_cache: LRUCache[str, ProcessedTable] = LRUCache(
-            maxsize=self.config.processed_cache_size
-        )
+        # The one inference path: built from the fitted model on first use,
+        # dropped by every fit().
+        self._service: AnnotationService | None = None
 
     # ------------------------------------------------------------------ #
     # internal helpers
     # ------------------------------------------------------------------ #
-    def _process(self, tables: list[Table]) -> list[ProcessedTable]:
-        processed = []
-        for table in tables:
-            key = table_key(table)
-            cached = self._processed_cache.get(key)
-            if cached is None:
-                cached = self.extractor.process_table(table)
-                self._processed_cache.put(key, cached)
-            processed.append(cached)
-        return processed
-
-    def processed_cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction counters of the Part-1 processed-table cache."""
-        return self._processed_cache.cache_info()
-
     def _corpus_texts(self, corpus: TableCorpus) -> list[str]:
         """Texts used to train the tokenizer and pre-train the encoder."""
         texts: list[str] = []
@@ -237,12 +220,14 @@ class KGLinkAnnotator:
             ) -> TrainingHistory:
         """Run Part 1 over the corpora, build the model and fine-tune it."""
         start = time.perf_counter()
-        part1_start = time.perf_counter()
-        processed_train = self._process(train_corpus.tables)
+        self._service = None
+        process = self.extractor.process_table
+        processed_train = [process(table) for table in train_corpus.tables]
         processed_valid = (
-            self._process(validation_corpus.tables) if validation_corpus is not None else []
+            [process(table) for table in validation_corpus.tables]
+            if validation_corpus is not None else []
         )
-        self.part1_seconds = time.perf_counter() - part1_start
+        self.part1_seconds = time.perf_counter() - start
 
         self.label_vocabulary = list(train_corpus.label_vocabulary)
         encoder = self._build_tokenizer_and_encoder(train_corpus)
@@ -262,31 +247,32 @@ class KGLinkAnnotator:
         self.fit_seconds = time.perf_counter() - start
         return self.history
 
-    def _require_fitted(self) -> KGLinkTrainer:
+    def _inference_service(self) -> AnnotationService:
+        """The service every prediction goes through, built on first use."""
         if self.trainer is None or self.model is None or self.serializer is None:
             raise RuntimeError("KGLinkAnnotator must be fitted before prediction")
-        return self.trainer
+        if self._service is None:
+            self._service = self.into_service(max_batch=self.config.batch_size)
+        return self._service
 
     def annotate(self, table: Table) -> list[str]:
         """Predict a semantic type for every column of one table."""
-        trainer = self._require_fitted()
-        processed = self._process([table])
-        examples = trainer.prepare_examples(processed, with_ground_truth=False)
-        return trainer.predict(examples)[0]
+        return self._inference_service().annotate(table)
 
     def predict_corpus(self, corpus: TableCorpus) -> tuple[list[str], list[str]]:
-        """Return aligned ``(y_true, y_pred)`` over all labelled columns."""
-        trainer = self._require_fitted()
-        processed = self._process(corpus.tables)
-        examples = trainer.prepare_examples(processed, with_ground_truth=False)
-        predictions = trainer.predict(examples)
+        """Return aligned ``(y_true, y_pred)`` over all labelled columns.
+
+        A table wider than ``max_columns`` is serialised, and so predicted,
+        for its first ``max_columns`` columns only.
+        """
+        predictions = self._inference_service().annotate_batch(corpus.tables)
         y_true: list[str] = []
         y_pred: list[str] = []
-        for example, predicted in zip(examples, predictions, strict=True):
-            for truth, pred in zip(example.true_labels, predicted, strict=True):
-                if truth is None:
+        for table, predicted in zip(corpus.tables, predictions, strict=True):
+            for column, pred in zip(table.columns[: len(predicted)], predicted, strict=True):
+                if column.label is None:
                     continue
-                y_true.append(truth)
+                y_true.append(column.label)
                 y_pred.append(pred)
         return y_true, y_pred
 
@@ -296,11 +282,6 @@ class KGLinkAnnotator:
         y_true, y_pred = self.predict_corpus(corpus)
         self.inference_seconds = time.perf_counter() - start
         return evaluate_predictions(y_true, y_pred, include_report=include_report)
-
-    def link_statistics(self, corpus: TableCorpus) -> dict[str, int]:
-        """Part-1 link statistics for ``corpus`` (the paper's Table III)."""
-        processed = self._process(corpus.tables)
-        return self.extractor.link_statistics(processed)
 
     def into_service(self, max_batch: int = 16, cache_size: int = 1024):
         """Export this fitted annotator as a serving-shaped front door.

@@ -18,8 +18,7 @@ through the :class:`RetrievalBackend` protocol:
 Two implementations ship here and both must pass the shared conformance suite
 (``tests/kg/test_backends.py``):
 
-* :class:`BM25Index` — the Okapi BM25 inverted index compiled to CSR arrays
-  (moved from ``repro.kg.bm25``, which remains as a compatibility shim).
+* :class:`BM25Index` — the Okapi BM25 inverted index compiled to CSR arrays.
 * :class:`CharNGramIndex` — a character-n-gram hashed-embedding retriever:
   documents and queries are embedded into a fixed-dimension count vector of
   hashed character n-grams and ranked by cosine similarity, which tolerates

@@ -32,7 +32,6 @@ from repro.nn.tensor import (
     dtype_policy,
     accumulation_dtype,
     get_default_dtype,
-    set_default_dtype,
 )
 from repro.nn import functional
 from repro.nn.layers import (
@@ -67,7 +66,6 @@ __all__ = [
     "dtype_policy",
     "accumulation_dtype",
     "get_default_dtype",
-    "set_default_dtype",
     "functional",
     "Module",
     "ModuleList",

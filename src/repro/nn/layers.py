@@ -125,23 +125,8 @@ class Module:
         """Return a flat mapping from parameter names to numpy arrays."""
         return {name: param.data.copy() for name, param in self.named_parameters(prefix)}
 
-    def _upgrade_state_dict(self, state: dict[str, np.ndarray], prefix: str) -> None:
-        """Hook: migrate legacy checkpoint keys in ``state`` in place.
-
-        Sub-classes whose parameter layout changed override this to rewrite
-        old keys (prefixed with ``prefix``) into the current layout, so saved
-        checkpoints keep loading.  The default is a no-op.
-        """
-
-    def _apply_state_dict_upgrades(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        self._upgrade_state_dict(state, prefix)
-        for key, child in self._children():
-            child._apply_state_dict_upgrades(state, f"{prefix}{key}.")
-
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load parameter values from a mapping produced by :meth:`state_dict`."""
-        state = dict(state)
-        self._apply_state_dict_upgrades(state)
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -329,22 +314,6 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear._from_weights(packed, np.zeros(3 * hidden_size))
         self.output = Linear(hidden_size, hidden_size, rng=rng)
         self.attn_dropout = Dropout(dropout, rng=_child_rng(rng))
-
-    def _upgrade_state_dict(self, state: dict[str, np.ndarray], prefix: str) -> None:
-        # Checkpoints from before the packed-QKV layout store three separate
-        # projections; pack them on load so saved models keep working.
-        names = ("query", "key", "value")
-        weight_keys = [f"{prefix}{name}.weight" for name in names]
-        if f"{prefix}qkv.weight" in state or not all(key in state for key in weight_keys):
-            return
-        state[f"{prefix}qkv.weight"] = np.concatenate(
-            [state.pop(key) for key in weight_keys], axis=0
-        )
-        bias_keys = [f"{prefix}{name}.bias" for name in names]
-        if all(key in state for key in bias_keys):
-            state[f"{prefix}qkv.bias"] = np.concatenate(
-                [state.pop(key) for key in bias_keys], axis=0
-            )
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)

@@ -11,10 +11,9 @@ stripped from the returned state dict and the arrays can be cast:
   parameter's own dtype, so a float64 checkpoint loads into a float32 model
   (and vice versa) without any caller-side conversion.
 
-Checkpoints written before the metadata existed are handled by a migration
-shim mirroring the packed-QKV upgrade: a missing ``__repro_meta__`` namespace
-marks a legacy archive, which is treated as float64 (the only dtype the stack
-produced back then).
+Checkpoints written before the metadata existed still load: a missing
+``__repro_meta__`` namespace marks a legacy archive, which is treated as
+float64 (the only dtype the stack produced back then).
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ __all__ = [
     "dtype_policy",
     "accumulation_dtype",
     "get_default_dtype",
-    "set_default_dtype",
 ]
 
 # Switch mirroring ``torch.no_grad``: while disabled, operations do not
@@ -181,28 +180,6 @@ def get_default_dtype() -> np.dtype:
     return _POLICY.compute
 
 
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the global compute dtype (``float32`` or ``float64``).
-
-    Compatibility wrapper over :func:`set_dtype_policy` from when float32 was
-    opt-in: installs a policy with the requested compute dtype and float64
-    accumulation, and returns the previous *compute* dtype so existing
-    save/restore call sites keep working::
-
-        previous = set_default_dtype(np.float64)
-        try:
-            ...
-        finally:
-            set_default_dtype(previous)
-    """
-    resolved = np.dtype(dtype)
-    if resolved not in _ALLOWED_DTYPES:
-        raise ValueError(f"default dtype must be float32 or float64, got {resolved}")
-    previous = _POLICY.compute
-    set_dtype_policy(FLOAT64_POLICY if resolved == np.float64 else FLOAT32_POLICY)
-    return previous
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` so that it matches ``shape`` (inverse of broadcasting)."""
     if grad.shape == shape:
@@ -231,7 +208,7 @@ class Tensor:
     ----------
     data:
         Anything convertible to a numpy array of the default floating dtype
-        (see :func:`set_default_dtype`).
+        (see :func:`set_dtype_policy`).
     requires_grad:
         When true, gradients flowing through operations involving this tensor
         are accumulated into :attr:`grad` during :meth:`backward`.

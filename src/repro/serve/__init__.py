@@ -9,9 +9,9 @@ into something a production process can load and hit with traffic:
   a bundle needs no :class:`~repro.kg.graph.KnowledgeGraph` object and no
   index rebuild.
 * :class:`~repro.serve.service.AnnotationService` — the request-serving API:
-  ``annotate`` / ``annotate_batch`` / ``annotate_stream`` micro-batch tables
-  through the length-bucketed prediction path under ``no_grad`` and report
-  per-request telemetry (:class:`~repro.serve.service.ServiceStats`).
+  ``annotate`` / ``annotate_batch`` micro-batch tables through the
+  length-bucketed prediction path under ``no_grad`` and report per-request
+  telemetry (:class:`~repro.serve.service.ServiceStats`).
   Part 1 runs serially in the service's process against one in-process
   retrieval index; more processes come from replicating whole services
   behind a :mod:`repro.fleet` router, which owns wire deadlines,
@@ -19,6 +19,8 @@ into something a production process can load and hit with traffic:
   :meth:`~repro.serve.service.AnnotationService.health` reports
   ``healthy``, or ``failed`` once closed
   (:class:`~repro.serve.service.ServiceHealth`).
+  It is also the fitted annotator's own inference path: ``annotate``,
+  ``predict_corpus`` and ``evaluate`` call a service built by ``into_service``.
 * :class:`~repro.serve.replica.ReplicaServer` /
   :func:`~repro.serve.replica.run_replica` — the fleet worker: one process,
   one loaded bundle, serving ``annotate_batch`` over the loopback wire

@@ -16,11 +16,10 @@ directory with a versioned manifest::
 The index is stored as one copy of the compiled arrays, which a serving
 process restores as one in-process index.
 
-Unlike the legacy ``save_annotator``/``load_annotator`` pair (now thin shims
-over this module), a bundle is independent of the knowledge graph: loading
-restores the retrieval backend from its exported arrays instead of
-re-indexing the graph, and ships a :class:`~repro.kg.snapshot.KGSnapshot`
-for the candidate-extraction queries — so
+A bundle is independent of the knowledge graph: loading restores the
+retrieval backend from its exported arrays instead of re-indexing the graph,
+and ships a :class:`~repro.kg.snapshot.KGSnapshot` for the
+candidate-extraction queries — so
 :meth:`~repro.serve.service.AnnotationService.load` works on a machine that
 has nothing but the bundle directory.
 """
@@ -81,6 +80,8 @@ REQUIRED_MANIFEST_KEYS = (
 #: Keys older writers put in the manifest that no longer mean anything.
 LEGACY_MANIFEST_KEYS = ("shard_plan", "runtime_policy")
 LEGACY_LINKER_KEYS = ("num_shards", "executor")
+#: The size of a Part-1 cache the annotator no longer keeps.
+LEGACY_CONFIG_KEYS = ("processed_cache_size",)
 
 
 def _sha256(path: Path) -> str:
@@ -145,7 +146,8 @@ def _object(payload) -> dict:
 
 
 def _kglink_config(payload) -> KGLinkConfig:
-    return KGLinkConfig(**_object(payload))
+    return KGLinkConfig(**{key: value for key, value in _object(payload).items()
+                           if key not in LEGACY_CONFIG_KEYS})
 
 
 def _backend_name(payload) -> str:
@@ -204,7 +206,8 @@ def tokenizer_from_tokens(tokens: list[str]) -> WordPieceTokenizer:
     constructor re-adds itself, so they are filtered before reconstruction.
     """
     specials = Vocabulary().specials
-    plain_tokens = [token for token in tokens if token not in set(specials.as_tuple())]
+    special_tokens = set(specials.as_tuple())
+    plain_tokens = [token for token in tokens if token not in special_tokens]
     return WordPieceTokenizer(Vocabulary(plain_tokens, specials=specials))
 
 

@@ -13,8 +13,6 @@ into the existing inference machinery:
   serially in the calling process.  One service is one process's worth of
   work: to use more processes, run replicas behind a
   :class:`~repro.fleet.FleetRouter`;
-* :meth:`AnnotationService.annotate_stream` consumes a (possibly unbounded)
-  stream one micro-batch at a time, alternating Part 1 and PLM inference;
 * prepared tables (Part-1 output serialised into model-ready arrays) are
   memoised in a bounded :class:`~repro.core.cache.LRUCache` keyed by table
   content (:func:`~repro.data.table.table_key`, so a client reusing an id
@@ -28,9 +26,12 @@ into the existing inference machinery:
 
 ``annotate`` / ``annotate_batch`` may be called from several threads: the
 Part-1 stage, Part-2 inference (shared model state) and every telemetry
-counter are serialized by internal locks.  A single ``annotate_stream``
-generator should still be consumed from one thread, but its consumer may
-freely interleave ``annotate`` calls.
+counter are serialized by internal locks.
+
+This is also the inference path of
+:class:`~repro.core.annotator.KGLinkAnnotator`: its ``annotate``,
+``predict_corpus`` and ``evaluate`` call a service built by
+:meth:`~repro.core.annotator.KGLinkAnnotator.into_service`.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.core.cache import LRUCache
 from repro.core.errors import DeadlineExceeded, ServiceClosed
@@ -139,8 +139,7 @@ class AnnotationService:
         The serving state (usually from :meth:`load` or
         :meth:`~repro.core.annotator.KGLinkAnnotator.into_service`).
     max_batch:
-        Micro-batch size for Part-2 inference (and the default chunk size of
-        :meth:`annotate_stream`).
+        Micro-batch size for Part-2 inference.
     cache_size:
         Bound of the processed-table LRU cache (``<= 0`` disables caching).
     """
@@ -210,7 +209,7 @@ class AnnotationService:
         Closing is a two-phase drain rather than a race: the service first
         stops admitting (``annotate*`` calls arriving from here on raise
         :class:`~repro.core.errors.ServiceClosed`), then waits for every
-        in-flight ``annotate``/``annotate_batch``/stream chunk to finish.
+        in-flight ``annotate``/``annotate_batch`` call to finish.
         Idempotent: the second and later calls return immediately (without
         waiting for the first call's drain).
         """
@@ -346,39 +345,6 @@ class AnnotationService:
             predictions = self._predict(prepared)
             self._check_deadline(deadline_s, "after PLM inference")
             return predictions
-
-    def annotate_stream(self, tables: Iterable[Table],
-                        max_batch: int | None = None) -> Iterator[list[str]]:
-        """Annotate a (possibly unbounded) stream of tables lazily, in order.
-
-        Tables are consumed in micro-batches of ``max_batch``: each one is
-        prepared (Part 1) and predicted (Part 2) before the next is pulled
-        from ``tables``.  Results are yielded per table, in input order,
-        regardless of the micro-batch boundaries.
-        """
-        # Validate eagerly (this is not itself a generator function) so a
-        # closed service or bad batch size raises at call time, not on the
-        # first next().
-        self._ensure_open()
-        size = max_batch or self.max_batch
-        if size <= 0:
-            raise ValueError("max_batch must be positive")
-        return self._annotate_stream(iter(tables), size)
-
-    def _annotate_stream(self, iterator: Iterator[Table],
-                         size: int) -> Iterator[list[str]]:
-        with self._stats_lock:
-            self._requests += 1
-        while chunk := list(islice(iterator, size)):
-            # Each chunk holds an in-flight slot only while it computes:
-            # close() waits for the current chunk, and the next loop
-            # iteration raises ServiceClosed instead of racing teardown.
-            with self._track():
-                prepared = self._prepare(chunk)
-                with self._stats_lock:
-                    self._tables += len(prepared)
-                predictions = self._predict(prepared)
-            yield from predictions
 
     # ------------------------------------------------------------------ #
     # telemetry

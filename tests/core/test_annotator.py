@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
 from repro.data.corpus import TableCorpus
+from repro.data.table import Table
 
 
 TINY_CONFIG = dict(
@@ -98,17 +99,46 @@ class TestFitAndPredict:
         assert 0.0 <= result.accuracy <= 100.0
         assert fitted_annotator.inference_seconds > 0
 
-    def test_link_statistics_shape(self, fitted_annotator, tiny_splits):
-        _, _, test = tiny_splits
-        stats = fitted_annotator.link_statistics(test)
-        assert stats["total_columns"] == sum(t.n_columns for t in test.tables)
-
     def test_processed_tables_cached(self, fitted_annotator, tiny_splits):
         _, _, test = tiny_splits
         fitted_annotator.predict_corpus(test)
-        cached_before = len(fitted_annotator._processed_cache)
+        service = fitted_annotator._inference_service()
+        before = service.stats()
         fitted_annotator.predict_corpus(test)
-        assert len(fitted_annotator._processed_cache) == cached_before
+        after = service.stats()
+        assert after.cache_misses == before.cache_misses
+        assert after.cache_hits - before.cache_hits == len(test.tables)
+
+    def test_wide_table_scores_its_first_max_columns(self, fitted_annotator, tiny_splits):
+        _, _, test = tiny_splits
+        width = fitted_annotator.config.max_columns
+        rows = min(table.n_rows for table in test.tables)
+        columns = [column.truncated(rows) for table in test.tables
+                   for column in table.columns if column.label is not None]
+        assert len(columns) > width
+        wide = Table(table_id="wide", columns=columns)
+        y_true, y_pred = fitted_annotator.predict_corpus(
+            TableCorpus("wide", [wide], test.label_vocabulary)
+        )
+        assert y_true == [column.label for column in columns[:width]]
+        assert y_pred == fitted_annotator.annotate(wide)
+
+    def test_refit_serves_the_new_model(self, graph, linker, tiny_splits):
+        train, _, test = tiny_splits
+        config = KGLinkConfig(**{**TINY_CONFIG, "epochs": 1})
+        refitted = KGLinkAnnotator(graph, config, linker=linker)
+        refitted.fit(TableCorpus("first", train.tables[:4], train.label_vocabulary))
+        first = refitted.predict_corpus(test)
+        refitted.fit(train)
+        # The refit keeps the first fit's tokenizer; so does the fresh one.
+        fresh = KGLinkAnnotator(graph, config, linker=linker, tokenizer=refitted.tokenizer)
+        fresh.fit(train)
+        expected = fresh.predict_corpus(test)
+        assert expected != first  # otherwise a stale model would pass too
+        assert refitted.predict_corpus(test) == expected
+        assert [refitted.annotate(table) for table in test.tables] == [
+            fresh.annotate(table) for table in test.tables
+        ]
 
 
 class TestAblationConfigurations:

@@ -43,9 +43,11 @@ def test_annotator_key_covers_labels(fleet_annotator, serve_tables):
     relabelled = Table(table_id=REUSED_ID, source=table.source, columns=[
         dataclasses.replace(column, label=f"{column.label}-other") for column in table.columns
     ])
-    first, second = fleet_annotator._process([table, relabelled])
-    assert first.labels() == table.labels()
-    assert second.labels() == relabelled.labels()
+    # The annotator's inference service keys prepared examples by content.
+    first, second = fleet_annotator._inference_service()._prepare([table, relabelled])
+    width = fleet_annotator.config.max_columns
+    assert first.true_labels == table.labels()[:width]
+    assert second.true_labels == relabelled.labels()[:width]
 
 
 def test_service(fleet_bundle, reused, expected):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.kg.bm25 import BM25Index, BM25Parameters
+from repro.kg.backends import BM25Index, BM25Parameters
 
 
 @pytest.fixture()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kg.bm25 import BM25Index, BM25Parameters, reference_search
+from repro.kg.backends import BM25Index, BM25Parameters, reference_search
 
 
 def random_corpus(rng: np.random.Generator, n_docs: int, vocab_size: int = 60,

@@ -13,7 +13,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import FLOAT64_POLICY, Tensor, dtype_policy, no_grad, set_default_dtype
+from repro.nn.tensor import FLOAT32_POLICY, FLOAT64_POLICY, Tensor, dtype_policy, no_grad
 
 from tests.nn.test_tensor import numerical_gradient
 
@@ -60,8 +60,8 @@ class TestForwardParity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parity_across_dtypes(self, rng, dtype):
-        previous = set_default_dtype(dtype)
-        try:
+        policy = FLOAT64_POLICY if dtype == np.float64 else FLOAT32_POLICY
+        with dtype_policy(policy):
             q, k, v = _inputs(rng)
             bias = Tensor(rng.normal(size=(1, HEADS, SEQ, SEQ)))
             mask = _mask()
@@ -71,8 +71,6 @@ class TestForwardParity:
             reference = _unfused(q, k, v, mask=mask, bias=bias)
             assert fused.dtype == dtype
             np.testing.assert_allclose(fused.data, reference.data, atol=1e-6)
-        finally:
-            set_default_dtype(previous)
 
     def test_blocked_positions_get_zero_weight(self, rng):
         q, k, v = _inputs(rng, requires_grad=False)

@@ -23,7 +23,6 @@ from repro.nn.tensor import (
     get_default_dtype,
     get_dtype_policy,
     no_grad,
-    set_default_dtype,
     set_dtype_policy,
 )
 
@@ -80,21 +79,6 @@ class TestDtypePolicy:
 
 
 class TestDefaultDtypeShim:
-    def test_set_default_dtype_maps_to_policy(self):
-        previous = set_default_dtype(np.float64)
-        try:
-            assert previous == np.dtype(np.float32)
-            assert get_dtype_policy() == FLOAT64_POLICY
-        finally:
-            set_default_dtype(previous)
-        assert get_dtype_policy() == FLOAT32_POLICY
-
-    def test_rejects_non_float_dtypes(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int64)
-        with pytest.raises(ValueError):
-            set_default_dtype(np.float16)
-
     def test_tensor_creation_uses_policy_compute(self, float64_default):
         assert Tensor([1.0, 2.0]).dtype == np.float64
         assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float64

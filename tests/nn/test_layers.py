@@ -193,22 +193,6 @@ class TestMultiHeadSelfAttention:
         assert layer.qkv.weight.grad is not None
         assert layer.output.weight.grad is not None
 
-    def test_loads_legacy_unpacked_checkpoint(self, rng):
-        layer = nn.MultiHeadSelfAttention(hidden_size=8, num_heads=2, dropout=0.0)
-        layer.eval()
-        state = layer.state_dict()
-        legacy = {"output.weight": state["output.weight"], "output.bias": state["output.bias"]}
-        for i, name in enumerate(("query", "key", "value")):
-            legacy[f"{name}.weight"] = state["qkv.weight"][i * 8 : (i + 1) * 8]
-            legacy[f"{name}.bias"] = state["qkv.bias"][i * 8 : (i + 1) * 8]
-        restored = nn.MultiHeadSelfAttention(
-            hidden_size=8, num_heads=2, dropout=0.0, rng=np.random.default_rng(123)
-        )
-        restored.eval()
-        restored.load_state_dict(legacy)
-        x = Tensor(rng.normal(size=(1, 4, 8)))
-        np.testing.assert_array_equal(layer(x).data, restored(x).data)
-
     def test_dropout_streams_differ_across_layers(self):
         shared = np.random.default_rng(0)
         first = nn.MultiHeadSelfAttention(hidden_size=8, num_heads=2, dropout=0.5, rng=shared)

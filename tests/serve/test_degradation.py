@@ -161,8 +161,6 @@ class TestServiceClosed:
             service.annotate(serve_tables[0])
         with pytest.raises(ServiceClosed):
             service.annotate_batch(serve_tables)
-        with pytest.raises(ServiceClosed):
-            service.annotate_stream(serve_tables)  # raises at call, not next()
 
     def test_health_reports_failed_after_close(self, bundle_dir):
         service = AnnotationService.load(bundle_dir)

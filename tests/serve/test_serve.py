@@ -1,4 +1,4 @@
-"""Tests of the serving layer: bundles, the annotation service and streaming.
+"""Tests of the serving layer: bundles and the annotation service.
 
 The central guarantee: a bundle saved from a fitted annotator serves
 *bitwise-identical* predictions from a process that holds no
@@ -152,6 +152,13 @@ class TestAnnotationService:
         assert (in_process.annotate_batch(serve_tables)
                 == loaded.annotate_batch(serve_tables))
 
+    @pytest.mark.parametrize("max_batch", [1, 2, 3, 5, 7, 50])
+    def test_ordering_under_ragged_batches(self, bundle_dir, serve_tables,
+                                           max_batch):
+        service = AnnotationService.load(bundle_dir, max_batch=max_batch)
+        expected = [service.annotate(table) for table in serve_tables]
+        assert service.annotate_batch(serve_tables) == expected
+
     def test_annotate_batch_empty(self, bundle_dir):
         service = AnnotationService.load(bundle_dir)
         assert service.annotate_batch([]) == []
@@ -186,77 +193,6 @@ class TestAnnotationService:
         zeroed = service.stats()
         assert zeroed.requests == 0 and zeroed.tables == 0
         assert zeroed.cache_hits == 0 and zeroed.cache_misses == 0
-
-
-class TestAnnotateStream:
-    @pytest.mark.parametrize("max_batch", [1, 2, 3, 5, 7, 50])
-    def test_ordering_under_ragged_batches(self, bundle_dir, serve_tables,
-                                           max_batch):
-        service = AnnotationService.load(bundle_dir)
-        expected = service.annotate_batch(serve_tables)
-        streamed = list(service.annotate_stream(serve_tables, max_batch=max_batch))
-        assert streamed == expected
-
-    def test_stream_is_lazy_and_accepts_generators(self, bundle_dir, serve_tables):
-        service = AnnotationService.load(bundle_dir)
-        consumed: list[str] = []
-
-        def feed():
-            for table in serve_tables:
-                consumed.append(table.table_id)
-                yield table
-
-        stream = service.annotate_stream(feed(), max_batch=2)
-        assert consumed == []  # nothing pulled before iteration
-        first = next(stream)
-        assert isinstance(first, list)
-        # The stream pulls one micro-batch at a time, not the world.
-        assert len(consumed) <= 2
-        rest = list(stream)
-        assert [first, *rest] == service.annotate_batch(serve_tables)
-
-    def test_empty_stream(self, bundle_dir):
-        service = AnnotationService.load(bundle_dir)
-        assert list(service.annotate_stream(iter(()))) == []
-
-    def test_annotate_during_stream_is_safe(self, bundle_dir, serve_tables):
-        reference = AnnotationService.load(bundle_dir)
-        expected = reference.annotate_batch(serve_tables)
-        # cache_size=0 forces full Part 1 on every request, so the consumer's
-        # annotate() genuinely contends with the stream for the shared
-        # retrieval backend (serialized by the prepare lock).
-        service = AnnotationService.load(bundle_dir, cache_size=0)
-        streamed = []
-        for index, labels in enumerate(
-            service.annotate_stream(serve_tables, max_batch=2)
-        ):
-            streamed.append(labels)
-            assert service.annotate(serve_tables[0]) == expected[0], index
-        assert streamed == expected
-
-    def test_invalid_max_batch(self, bundle_dir, serve_tables):
-        service = AnnotationService.load(bundle_dir)
-        with pytest.raises(ValueError):
-            list(service.annotate_stream(serve_tables, max_batch=-1))
-
-
-class TestDeprecationShims:
-    def test_save_annotator_writes_bundle(self, fitted, graph, serve_tables,
-                                          tmp_path):
-        from repro.core.persistence import load_annotator, save_annotator
-
-        with pytest.deprecated_call():
-            directory = save_annotator(fitted, tmp_path / "legacy")
-        # The shim now writes a full bundle: serving works graph-free...
-        service = AnnotationService.load(directory)
-        expected = [fitted.annotate(table) for table in serve_tables]
-        assert service.annotate_batch(serve_tables) == expected
-        # ...and the legacy loader still returns a training facade, without
-        # rebuilding the retrieval index from the graph.
-        with pytest.deprecated_call():
-            restored = load_annotator(directory, graph)
-        assert restored.linker.index.is_finalized
-        assert [restored.annotate(table) for table in serve_tables] == expected
 
 
 class TestCharNGramServing:
@@ -338,6 +274,21 @@ class TestBundleCompatibility:
         assert "shard_plan" not in resaved
         assert "runtime_policy" not in resaved
 
+    def test_manifest_with_processed_cache_size_loads(self, bundle_dir,
+                                                      serve_tables, tmp_path):
+        # Older writers saved the annotator's Part-1 cache size in the config;
+        # that cache is gone, so the key is dropped at load.
+        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
+        clone, manifest = _clone_bundle(bundle_dir, tmp_path / "cache-size")
+        assert "processed_cache_size" not in manifest["config"]
+        manifest["config"]["processed_cache_size"] = 4096
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+
+        bundle = ServiceBundle.load(clone)
+        assert bundle.config == ServiceBundle.load(bundle_dir).config
+        with AnnotationService(bundle) as service:
+            assert service.annotate_batch(serve_tables) == expected
+
 
 class TestContentKeying:
     """Part-1 results are keyed by table content, never by ``table_id``."""
@@ -355,10 +306,8 @@ class TestContentKeying:
         # cache_size=0 promises every table is processed independently, so
         # two *different* tables that happen to share an id must each get
         # their own predictions — not the first table's.
-        import dataclasses as dc
-
         a, b = serve_tables[0], serve_tables[1]
-        b_clone = dc.replace(b, table_id=a.table_id)
+        b_clone = dataclasses.replace(b, table_id=a.table_id)
         service = AnnotationService.load(bundle_dir, cache_size=0)
         expected_a = service.annotate(a)
         expected_b = service.annotate(b)
@@ -400,23 +349,6 @@ class TestConcurrentAnnotate:
         assert stats.requests == total
         assert stats.tables == total
         assert stats.cache_hits + stats.cache_misses == total
-
-
-class TestAnnotatorCache:
-    def test_processed_cache_is_bounded_lru(self, graph, linker, semtab_splits):
-        config = dataclasses.replace(TINY_CONFIG, processed_cache_size=3)
-        annotator = KGLinkAnnotator(graph, config, linker=linker)
-        tables = semtab_splits.train.tables[:5]
-        annotator._process(tables)
-        info = annotator.processed_cache_info()
-        assert info.maxsize == 3
-        assert info.currsize <= 3
-        assert info.misses == 5
-        assert info.evictions == 2
-        annotator._process([tables[-1]])  # most recent: a hit, no new miss
-        info = annotator.processed_cache_info()
-        assert info.hits == 1
-        assert info.misses == 5
 
 
 class TestStatsSerialization:

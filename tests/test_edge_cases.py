@@ -10,7 +10,7 @@ from repro.core.serialization import SerializerConfig, TableSerializer
 from repro.data.corpus import TableCorpus, stratified_split
 from repro.data.table import Column, Table
 from repro.experiments.__main__ import main as experiments_main
-from repro.kg.bm25 import BM25Index
+from repro.kg.backends import BM25Index
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.text.tokenizer import WordPieceTokenizer

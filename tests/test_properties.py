@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.metrics import accuracy_score, weighted_f1_score
-from repro.kg.bm25 import BM25Index
+from repro.kg.backends import BM25Index
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.text.ner import EntitySchema, detect_schema
