@@ -217,6 +217,12 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
     disabled (``maxsize=0``) so every request travels the wire to a replica
     — the fan-out scaling number — and one with the cache warmed so the
     measured loop is answered from router memory — the hit-path latency.
+
+    The "miss path" bypasses only the router's cache.  Each replica's
+    service keeps its own prepared-example cache, which the warm-up pass
+    fills, so in the measured loop replicas skip Part 1 and run only the
+    PLM: ``fleet.tables_per_second`` and ``fleet.scaling_2_replicas``
+    measure Part 2 plus the wire, not Part 1.
     """
     from repro.fleet import (
         FleetRouter,

@@ -156,9 +156,9 @@ class NoBlockingInAsyncRule(Rule):
 
     One stalled coroutine stalls every connection the gateway is serving, so
     known-blocking calls — ``time.sleep``, socket/subprocess/urllib I/O, and
-    the blocking ``annotate`` / ``annotate_batch`` / ``annotate_stream``
-    service surface — are banned inside ``async def``.  The sanctioned seams
-    are ``loop.run_in_executor`` and the :class:`~repro.gateway.batcher.
+    the blocking ``annotate`` / ``annotate_batch`` service surface — are
+    banned inside ``async def``.  The sanctioned seams are
+    ``loop.run_in_executor`` and the :class:`~repro.gateway.batcher.
     MicroBatcher` (both take the function as a *reference*, which this rule
     naturally permits), and ``asyncio.sleep`` instead of ``time.sleep``.
 
@@ -176,7 +176,7 @@ class NoBlockingInAsyncRule(Rule):
 
     BLOCKING_CALLS = frozenset({"time.sleep"})
     BLOCKING_PREFIXES = ("socket.", "subprocess.", "urllib.request.", "requests.")
-    BLOCKING_METHODS = frozenset({"annotate", "annotate_batch", "annotate_stream"})
+    BLOCKING_METHODS = frozenset({"annotate", "annotate_batch"})
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):

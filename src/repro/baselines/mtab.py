@@ -24,16 +24,12 @@ import time
 from collections import Counter, defaultdict
 
 from repro.baselines.base import BaseAnnotator
-from repro.core.cache import LRUCache
-from repro.core.pipeline import KGCandidateExtractor, Part1Config, ProcessedTable
+from repro.core.pipeline import KGCandidateExtractor, Part1Config
 from repro.data.corpus import TableCorpus
-from repro.data.table import table_key
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.linker import EntityLinker
 
 __all__ = ["MTabAnnotator"]
-
-_PROCESSED_CACHE_SIZE = 4096  # Part-1 results kept (LRU), like KGLinkAnnotator's default
 
 
 class MTabAnnotator(BaseAnnotator):
@@ -52,22 +48,8 @@ class MTabAnnotator(BaseAnnotator):
         self.label_vocabulary: list[str] = []
         self._lowercase_labels: dict[str, str] = {}
         self._translation: dict[str, str] = {}
-        self._processed_cache: LRUCache[str, ProcessedTable] = LRUCache(
-            maxsize=_PROCESSED_CACHE_SIZE
-        )
 
     # ------------------------------------------------------------------ #
-    def _process_corpus(self, corpus: TableCorpus) -> list[ProcessedTable]:
-        processed = []
-        for table in corpus.tables:
-            key = table_key(table)
-            cached = self._processed_cache.get(key)
-            if cached is None:
-                cached = self.extractor.process_table(table)
-                self._processed_cache.put(key, cached)
-            processed.append(cached)
-        return processed
-
     def _best_candidate_type(self, info) -> str | None:
         if not info.candidate_types:
             return None
@@ -86,7 +68,7 @@ class MTabAnnotator(BaseAnnotator):
         # dataset labels, estimated on the training corpus (the paper
         # translates VizNet labels to WikiData entities to make MTab work).
         cooccurrence: dict[str, Counter] = defaultdict(Counter)
-        for processed in self._process_corpus(train_corpus):
+        for processed in self.extractor.process_corpus(train_corpus.tables):
             for info in processed.columns:
                 candidate = self._best_candidate_type(info)
                 if candidate is None or info.label is None:
@@ -122,7 +104,7 @@ class MTabAnnotator(BaseAnnotator):
             raise RuntimeError("MTabAnnotator must be fitted before prediction")
         y_true: list[str] = []
         y_pred: list[str] = []
-        for processed in self._process_corpus(corpus):
+        for processed in self.extractor.process_corpus(corpus.tables):
             for info in processed.columns:
                 if info.label is None:
                     continue

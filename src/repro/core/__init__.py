@@ -9,7 +9,7 @@ uncertainty-weighted adaptive loss.  :class:`repro.core.annotator.KGLinkAnnotato
 is the end-to-end public API.
 """
 
-from repro.core.cache import CacheInfo, LRUCache
+from repro.core.cache import SharedResultsCache
 from repro.core.errors import (
     BundleCorrupted,
     DeadlineExceeded,
@@ -29,8 +29,7 @@ from repro.core.trainer import KGLinkTrainer, TrainingConfig, TrainingHistory
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
 
 __all__ = [
-    "CacheInfo",
-    "LRUCache",
+    "SharedResultsCache",
     "ServingError",
     "DeadlineExceeded",
     "WorkerCrashed",

@@ -10,17 +10,20 @@ One gateway process, N worker processes, one shared results cache:
   respawns the dead with bounded, backed-off restarts;
 * :mod:`repro.fleet.router` — :class:`FleetRouter` presents the fleet as a
   single service-shaped object to the gateway: least-outstanding routing,
-  one circuit breaker per replica, transparent failover on worker death;
-* :mod:`repro.fleet.cache` — :class:`SharedResultsCache`, a bounded LRU of
-  per-table predictions with single-flight de-dup across the whole fleet.
+  one circuit breaker per replica, transparent failover on worker death,
+  and a :class:`~repro.core.cache.SharedResultsCache` of per-table
+  predictions with single-flight de-dup across the whole fleet (re-exported
+  here).  Behind it, each replica's service keeps its own cache of
+  prepared examples, so a table new to the router but not to the replica
+  still skips Part 1.
 
 ``python -m repro.fleet --bundle bundle/ --replicas 2`` stands the whole
 tier up; SIGTERM drains it gracefully (gateway stops admitting → in-flight
 batches finish → every replica is terminated and joined).
 """
 
+from repro.core.cache import SharedResultsCache
 from repro.data.table import table_key
-from repro.fleet.cache import SharedResultsCache
 from repro.fleet.router import FleetHealth, FleetRouter, FleetStats
 from repro.fleet.supervisor import (
     FleetMember,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 
-from repro.fleet.cache import SharedResultsCache
+from repro.core.cache import SharedResultsCache
 from repro.fleet.router import FleetRouter
 from repro.fleet.supervisor import ProcessLauncher, ReplicaSupervisor
 from repro.gateway.app import Gateway, GatewayConfig
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "single-flight de-dup)")
     parser.add_argument("--service-max-batch", type=int, default=16,
                         help="PLM micro-batch size inside each replica")
-    parser.add_argument("--cache-size", type=int, default=1024,
-                        help="per-replica prepared-table LRU bound (0 disables)")
     return parser
 
 
@@ -86,8 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     policy = RuntimePolicy(timeout_s=args.timeout_s)
     launcher = ProcessLauncher(
         args.bundle,
-        service_kwargs={"max_batch": args.service_max_batch,
-                        "cache_size": args.cache_size},
+        service_kwargs={"max_batch": args.service_max_batch},
     )
     supervisor = ReplicaSupervisor(
         launcher, args.replicas, policy=policy,

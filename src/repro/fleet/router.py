@@ -24,7 +24,7 @@ surface:
   only :class:`~repro.core.errors.DeadlineExceeded` and replica-side
   *application* errors (the replica answered; retrying elsewhere would
   produce the same answer) propagate to the caller;
-* a **shared results cache** (:class:`~repro.fleet.cache.SharedResultsCache`)
+* a **shared results cache** (:class:`~repro.core.cache.SharedResultsCache`)
   in front of the whole fleet: repeat tables are answered from memory, and
   concurrent duplicates collapse to a single dispatch (single-flight), with
   hit/miss/coalesced counters surfaced through ``stats()`` for ``/stats``
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
+from repro.core.cache import SharedResultsCache
 from repro.core.errors import (
     DeadlineExceeded,
     ReplicaUnavailable,
@@ -54,8 +55,6 @@ from repro.core.errors import (
     ServingError,
     WorkerCrashed,
 )
-from repro.data.table import table_key
-from repro.fleet.cache import SharedResultsCache
 from repro.fleet.supervisor import FleetMember, ReplicaSupervisor
 from repro.fleet.wire import ReplicaClient
 from repro.runtime.resilience import CircuitBreaker, RuntimePolicy
@@ -247,7 +246,8 @@ class FleetRouter:
                        budget_s: float | None = None) -> list:
         """Annotate ``tables`` somewhere in the fleet; cache-first.
 
-        The batch is partitioned against the shared results cache: hits are
+        The batch is resolved through the shared results cache
+        (:meth:`~repro.core.cache.SharedResultsCache.resolve`): hits are
         answered from memory, concurrent duplicates join the in-flight lead,
         and only *lead* tables travel the wire — as one sub-batch, with the
         remaining budget, failing over across replicas as needed.
@@ -261,56 +261,10 @@ class FleetRouter:
             with self._lock:
                 self._requests += 1
                 self._tables += len(tables)
-
-            # Partition: first occurrence of a key in this batch leads (or
-            # hits/joins the cross-request cache); later occurrences within
-            # the same batch just copy the first position's result.
-            results: list[Any] = [None] * len(tables)
-            positions_by_key: dict[str, list[int]] = {}
-            lead_keys: list[str] = []
-            lead_tables: list[Any] = []
-            lead_flights: dict[str, Any] = {}
-            joins: list[tuple[str, Any]] = []  # (key, flight)
-            for position, table in enumerate(tables):
-                key = table_key(table)
-                positions = positions_by_key.setdefault(key, [])
-                positions.append(position)
-                if len(positions) > 1:
-                    continue  # duplicate within this very batch
-                outcome, token = self.cache.begin(key)
-                if outcome == "hit":
-                    results[positions[0]] = token
-                elif outcome == "join":
-                    joins.append((key, token))
-                else:  # lead
-                    lead_keys.append(key)
-                    lead_tables.append(table)
-                    lead_flights[key] = token
-
-            if lead_tables:
-                try:
-                    values = self._dispatch(lead_tables, deadline_s)
-                # repro: allow[REP104] -- single-flight contract: every lead
-                # must publish, whatever went wrong, or joiners hang; the
-                # error is re-raised to this caller unchanged
-                except BaseException as error:
-                    for key in lead_keys:
-                        self.cache.fail(key, lead_flights[key], error)
-                    raise
-                for key, value in zip(lead_keys, values):
-                    self.cache.complete(key, lead_flights[key], value)
-                    results[positions_by_key[key][0]] = value
-
-            for key, flight in joins:
-                results[positions_by_key[key][0]] = flight.wait(
-                    deadline_s=deadline_s, clock=self._clock
-                )
-
-            # Fan duplicate positions out from each key's first position.
-            for positions in positions_by_key.values():
-                for position in positions[1:]:
-                    results[position] = results[positions[0]]
-            return results
+            return self.cache.resolve(
+                tables, lambda leads: self._dispatch(leads, deadline_s),
+                deadline_s=deadline_s, clock=self._clock,
+            )
 
     def _dispatch(self, tables: Sequence[Any], deadline_s: float) -> list:
         """Send one sub-batch to the best replica, failing over on death."""

@@ -291,7 +291,7 @@ def run_replica(bundle_dir: str, ready, *, name: str = "replica",
     the bundle fails to load — the launcher side turns the latter (or
     silence) into a typed launch failure.  SIGTERM triggers a graceful
     stop: the accept loop ends, in-flight requests are answered, and the
-    service closes (draining its own pools).
+    service closes (waiting for its in-flight calls).
     """
     from repro.serve.service import AnnotationService
 

@@ -14,11 +14,13 @@ into the existing inference machinery:
   work: to use more processes, run replicas behind a
   :class:`~repro.fleet.FleetRouter`;
 * prepared tables (Part-1 output serialised into model-ready arrays) are
-  memoised in a bounded :class:`~repro.core.cache.LRUCache` keyed by table
-  content (:func:`~repro.data.table.table_key`, so a client reusing an id
-  for a different table never gets another table's answer) — a warm
-  request skips candidate extraction *and* serialisation — and
-  :meth:`AnnotationService.stats` reports per-request telemetry
+  memoised in a :class:`~repro.core.cache.SharedResultsCache` keyed by
+  table content (:func:`~repro.data.table.table_key`, so a client reusing
+  an id for a different table never gets another table's answer).  A warm
+  table skips candidate extraction *and* serialisation but still runs the
+  PLM; a table repeated within a request, or requested by two threads at
+  once, is prepared once.  :meth:`AnnotationService.stats` reports
+  per-request telemetry
   (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits),
   and :meth:`AnnotationService.health` reports ``healthy`` or, once
   closed, ``failed``.  Fault handling (deadlines on the wire, failover,
@@ -43,12 +45,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable
 
-from repro.core.cache import LRUCache
+from repro.core.cache import SharedResultsCache
 from repro.core.errors import DeadlineExceeded, ServiceClosed
 from repro.core.pipeline import KGCandidateExtractor
 from repro.core.serialization import TableSerializer
 from repro.core.trainer import KGLinkTrainer, PreparedExample
-from repro.data.table import Table, table_key
+from repro.data.table import Table
 from repro.kg.linker import EntityLinker
 from repro.serve.bundle import ServiceBundle
 
@@ -79,7 +81,12 @@ class ServiceStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Part-1 cache hit rate over the service lifetime."""
+        """Prepared-example cache hit rate over the service lifetime.
+
+        ``cache_hits`` counts tables answered from the cache *or* from
+        another request's in-flight preparation; ``cache_misses`` counts the
+        tables this service prepared.
+        """
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
@@ -141,7 +148,8 @@ class AnnotationService:
     max_batch:
         Micro-batch size for Part-2 inference.
     cache_size:
-        Bound of the processed-table LRU cache (``<= 0`` disables caching).
+        Bound of the prepared-example cache (``<= 0`` stores nothing;
+        identical tables in flight at once are still prepared once).
     """
 
     def __init__(self, bundle: ServiceBundle, max_batch: int = 16,
@@ -161,7 +169,7 @@ class AnnotationService:
             config.training_config(),
         )
         bundle.model.eval()
-        self._cache: LRUCache[str, PreparedExample] = LRUCache(maxsize=cache_size)
+        self._cache = SharedResultsCache(maxsize=cache_size)
         # close() drains: annotate calls register here while running, and
         # close() waits for the count to hit zero before returning.
         # (Condition's default lock is an RLock, so _ensure_open may
@@ -264,39 +272,14 @@ class AnnotationService:
     # internals
     # ------------------------------------------------------------------ #
     def _prepare(self, tables: list[Table]) -> list[PreparedExample]:
-        """Part 1 + serialisation for ``tables``, through the bounded LRU cache.
-
-        The cache holds the fully *prepared* example (model-ready arrays),
-        so a warm table costs one dict lookup before inference.  Tables are
-        deduplicated within a request, and cached, by content; with caching
-        disabled the service promises independent processing per table, so
-        each position becomes its own key.
-        """
-        start = time.perf_counter()
-        slots: list[PreparedExample | None] = [None] * len(tables)
-        missing: dict[object, tuple[Table, list[int]]] = {}
-        dedup = self._cache.maxsize > 0
+        """Part 1 + serialisation for ``tables``: the cache's lead tables."""
         with self._prepare_lock:
-            for position, table in enumerate(tables):
-                key: object = table_key(table) if dedup else position
-                if key in missing:  # duplicate within request
-                    missing[key][1].append(position)
-                    continue
-                cached = self._cache.get(key)
-                if cached is None:
-                    missing[key] = (table, [position])
-                else:
-                    slots[position] = cached
-            for key, (table, positions) in missing.items():
-                example = self.trainer.prepare_example(
+            return [
+                self.trainer.prepare_example(
                     self.extractor.process_table(table), with_ground_truth=False
                 )
-                self._cache.put(key, example)
-                for position in positions:
-                    slots[position] = example
-        with self._stats_lock:
-            self._part1_seconds += time.perf_counter() - start
-        return slots
+                for table in tables
+            ]
 
     def _predict(self, examples: list[PreparedExample]) -> list[list[str]]:
         """Part 2 for prepared examples (micro-batched, length-bucketed)."""
@@ -340,7 +323,11 @@ class AnnotationService:
                 self._tables += len(tables)
             if not tables:
                 return []
-            prepared = self._prepare(tables)
+            start = time.perf_counter()
+            prepared = self._cache.resolve(tables, self._prepare,
+                                           deadline_s=deadline_s)
+            with self._stats_lock:
+                self._part1_seconds += time.perf_counter() - start
             self._check_deadline(deadline_s, "after Part-1 prepare")
             predictions = self._predict(prepared)
             self._check_deadline(deadline_s, "after PLM inference")
@@ -351,7 +338,7 @@ class AnnotationService:
     # ------------------------------------------------------------------ #
     def stats(self) -> ServiceStats:
         """Cumulative telemetry since start (or the last :meth:`reset_stats`)."""
-        info = self._cache.cache_info()
+        cache = self._cache.stats()
         with self._stats_lock:
             return ServiceStats(
                 requests=self._requests,
@@ -361,9 +348,9 @@ class AnnotationService:
                 batches=self._batches,
                 useful_tokens=self._useful_tokens,
                 padded_tokens=self._padded_tokens,
-                cache_hits=info.hits,
-                cache_misses=info.misses,
-                cache_size=info.currsize,
+                cache_hits=cache["hits"] + cache["coalesced"],
+                cache_misses=cache["misses"],
+                cache_size=cache["size"],
             )
 
     def health(self) -> ServiceHealth:

@@ -1,81 +1,124 @@
-"""Tests of the shared bounded LRU cache, including its thread-safety.
+"""Tests of the one table cache: LRU bounds, counters and ``resolve``.
 
-The serving layer calls ``get``/``put`` from whatever threads hit
-``annotate``; the counters feed telemetry dashboards, so lost increments are
-user-visible bugs, not cosmetics.
+The service and the router resolve every batch through
+:class:`SharedResultsCache`, from whatever threads call them; the counters
+feed telemetry dashboards, so lost increments are user-visible bugs, not
+cosmetics.  The single-flight protocol itself (``begin``/``complete``/
+``fail``) is pinned in ``tests/fleet/test_cache.py``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
-from repro.core.cache import LRUCache
+import pytest
+
+from repro.core.cache import SharedResultsCache
+from repro.core.errors import ReplicaUnavailable
+from repro.data.table import table_key
+
+
+def store(cache: SharedResultsCache, key: str, value) -> None:
+    outcome, flight = cache.begin(key)
+    assert outcome == "lead"
+    cache.complete(key, flight, value)
+
+
+def table(table_id: str, *cells: str) -> dict:
+    return {"table_id": table_id,
+            "columns": [{"name": "c0", "cells": list(cells or ("x",))}]}
+
+
+def wait_for(predicate, what: str) -> None:
+    give_up = time.monotonic() + 5.0
+    while not predicate():
+        assert time.monotonic() < give_up, what
+        time.sleep(0.001)
+
+
+class Recorder:
+    """A ``compute`` that answers each table with its id and logs the calls."""
+
+    def __init__(self):
+        self.calls: list[list[str]] = []
+
+    def __call__(self, tables):
+        ids = [entry["table_id"] for entry in tables]
+        self.calls.append(ids)
+        return [f"value-{table_id}" for table_id in ids]
 
 
 class TestBasics:
-    def test_get_put_and_counters(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=2)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        info = cache.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
     def test_eviction_order_is_lru(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a": "b" becomes the LRU entry
-        cache.put("c", 3)
-        assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.cache_info().evictions == 1
+        cache = SharedResultsCache(maxsize=2)
+        store(cache, "a", 1)
+        store(cache, "b", 2)
+        assert cache.begin("a") == ("hit", 1)  # refresh "a": "b" is now LRU
+        store(cache, "c", 3)
+        assert cache.stats()["evictions"] == 1
+        assert cache.begin("a") == ("hit", 1)
+        assert cache.begin("c") == ("hit", 3)
+        assert cache.begin("b")[0] == "lead"  # the least recently *used*
 
     def test_zero_maxsize_disables(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=0)
-        cache.put("a", 1)
-        assert len(cache) == 0 and cache.get("a") is None
+        cache = SharedResultsCache(maxsize=0)
+        store(cache, "a", 1)
+        assert cache.stats()["size"] == 0
+        assert cache.begin("a")[0] == "lead"
 
     def test_reset_counters_keeps_entries(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
+        cache = SharedResultsCache(maxsize=1)
+        store(cache, "a", 1)
+        store(cache, "b", 2)  # evicts "a"
+        cache.begin("b")
+        _, flight = cache.begin("open")
+        cache.begin("open")
         cache.reset_counters()
-        info = cache.cache_info()
-        assert (info.hits, info.misses, info.evictions) == (0, 0, 0)
-        assert cache.get("a") == 1  # entry survived the counter reset
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["coalesced"],
+                stats["evictions"]) == (0, 0, 0, 0)
+        assert stats["size"] == 1
+        assert cache.begin("b") == ("hit", 2)  # entry survived the reset
+        cache.complete("open", flight, 3)
 
 
 class TestThreadSafety:
     def test_counters_lose_no_increments_under_contention(self):
-        # Regression test: unlocked `self.hits += 1` drops increments under
-        # threads.  Every get() is exactly one hit or one miss, so after N
-        # operations the two counters must sum to N — any lost update shows.
-        cache: LRUCache[int, int] = LRUCache(maxsize=64)
+        # Every begin() is exactly one hit, join or lead, so after N lookups
+        # the three counters must sum to N — any lost update shows.  A short
+        # switch interval makes the threads interleave mid-update.
+        cache = SharedResultsCache(maxsize=64)
         n_threads, ops = 8, 2000
         barrier = threading.Barrier(n_threads)
 
         def worker(seed: int) -> None:
             barrier.wait()
             for i in range(ops):
-                key = (seed * 31 + i) % 128  # half the keys overflow maxsize
-                value = cache.get(key)
-                if value is None:
-                    cache.put(key, key)
+                key = str((seed * 31 + i) % 128)  # half the keys overflow
+                outcome, token = cache.begin(key)
+                if outcome == "lead":
+                    cache.complete(key, token, key)
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        info = cache.cache_info()
-        assert info.hits + info.misses == n_threads * ops
-        assert info.currsize <= 64
-        assert len(cache) <= 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["coalesced"] + stats["misses"] == n_threads * ops
+        assert stats["size"] <= 64
 
     def test_recency_list_stays_intact_under_contention(self):
-        cache: LRUCache[int, int] = LRUCache(maxsize=8)
+        cache = SharedResultsCache(maxsize=8)
         stop = threading.Event()
         failures: list[Exception] = []
 
@@ -83,8 +126,9 @@ class TestThreadSafety:
             try:
                 i = 0
                 while not stop.is_set():
-                    cache.put((offset + i) % 32, i)
-                    cache.get((offset + i + 1) % 32)
+                    cache.resolve([table(str((offset + i) % 32)),
+                                   table(str((offset + i + 1) % 32))],
+                                  Recorder())
                     i += 1
             except Exception as error:  # noqa: BLE001 - surfaced below
                 failures.append(error)
@@ -93,35 +137,102 @@ class TestThreadSafety:
         for thread in threads:
             thread.start()
         for _ in range(200):
-            assert len(cache) <= 8
+            assert cache.stats()["size"] <= 8
         stop.set()
         for thread in threads:
             thread.join()
         assert not failures
 
-    def test_len_and_contains_hold_the_lock(self):
-        # Regression test (REP101): `len(cache)` and `key in cache` used to
-        # probe the OrderedDict without the lock, racing put()'s relink and
-        # eviction loop.  Pin the fix by swapping in a recording lock and
-        # asserting both probes acquire it.
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-        cache.put("a", 1)
 
-        class RecordingLock:
-            def __init__(self, inner: threading.Lock):
-                self.inner = inner
-                self.acquisitions = 0
+class TestResolve:
+    def test_values_align_with_input_order(self):
+        cache = SharedResultsCache()
+        compute = Recorder()
+        cache.resolve([table("b")], compute)  # "b" is now a hit
+        values = cache.resolve([table("a"), table("b"), table("c")], compute)
+        assert values == ["value-a", "value-b", "value-c"]
+        assert compute.calls == [["b"], ["a", "c"]]  # one call per resolve
 
-            def __enter__(self):
-                self.acquisitions += 1
-                return self.inner.__enter__()
+    def test_in_call_repeat_is_computed_once(self):
+        cache = SharedResultsCache()
+        compute = Recorder()
+        values = cache.resolve([table("a"), table("b"), table("a")], compute)
+        assert values == ["value-a", "value-b", "value-a"]
+        assert compute.calls == [["a", "b"]]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 2)  # repeats not counted
 
-            def __exit__(self, *exc_info):
-                return self.inner.__exit__(*exc_info)
+    def test_same_id_different_content_is_not_a_repeat(self):
+        compute = Recorder()
+        SharedResultsCache().resolve([table("a", "x"), table("a", "y")], compute)
+        assert compute.calls == [["a", "a"]]
 
-        recorder = RecordingLock(cache._lock)
-        cache._lock = recorder  # type: ignore[assignment]
-        assert len(cache) == 1
-        assert recorder.acquisitions == 1
-        assert "a" in cache and "b" not in cache
-        assert recorder.acquisitions == 3
+    def test_zero_maxsize_still_dedups(self):
+        cache = SharedResultsCache(maxsize=0)
+        compute = Recorder()
+        assert cache.resolve([table("a"), table("a")], compute) == ["value-a"] * 2
+        cache.resolve([table("a")], compute)
+        assert compute.calls == [["a"], ["a"]]  # nothing stored between calls
+        assert cache.stats()["size"] == 0
+
+    def test_compute_error_fails_joiners_and_next_call_leads_fresh(self):
+        cache = SharedResultsCache()
+        entered, release = threading.Event(), threading.Event()
+        joined: list = []
+
+        def failing(tables):
+            entered.set()
+            assert release.wait(5.0)
+            raise ReplicaUnavailable("replica died")
+
+        def join():
+            try:
+                cache.resolve([table("a")], Recorder(),
+                              deadline_s=time.monotonic() + 5.0)
+            except ReplicaUnavailable as error:
+                joined.append(error)
+
+        leader_errors: list = []
+
+        def lead():
+            try:
+                cache.resolve([table("a")], failing)
+            except ReplicaUnavailable as error:
+                leader_errors.append(error)
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        assert entered.wait(5.0)
+        joiner = threading.Thread(target=join)
+        joiner.start()
+        wait_for(lambda: cache.stats()["coalesced"] == 1, "joiner never joined")
+        release.set()
+        leader.join(5.0)
+        joiner.join(5.0)
+        assert len(leader_errors) == 1 and joined == leader_errors
+        compute = Recorder()
+        assert cache.resolve([table("a")], compute) == ["value-a"]
+        assert compute.calls == [["a"]]  # the failed flight left no wedge
+
+    def test_short_compute_result_fails_the_leads(self):
+        cache = SharedResultsCache()
+        with pytest.raises(ValueError, match="1 values for 2 tables"):
+            cache.resolve([table("a"), table("b")], lambda tables: ["only-one"])
+        assert cache.resolve([table("a")], Recorder()) == ["value-a"]
+
+    def test_leads_publish_before_joins_are_awaited(self):
+        # Two callers that each lead a key the other joins only finish if
+        # both publish their leads before waiting: pin that order by holding
+        # "b"'s flight open until the caller has published "a".
+        cache = SharedResultsCache()
+        key_b = table_key(table("b"))
+        _, held = cache.begin(key_b)
+        results: list = []
+        caller = threading.Thread(target=lambda: results.append(cache.resolve(
+            [table("a"), table("b")], Recorder(),
+            deadline_s=time.monotonic() + 5.0)))
+        caller.start()
+        wait_for(lambda: cache.stats()["size"] == 1, "lead was not published first")
+        cache.complete(key_b, held, "value-b")
+        caller.join(5.0)
+        assert results == [["value-a", "value-b"]]

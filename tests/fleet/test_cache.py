@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.errors import DeadlineExceeded, ReplicaUnavailable
 from repro.data.table import Column, Table, table_key
-from repro.fleet.cache import Flight, SharedResultsCache
+from repro.core.cache import Flight, SharedResultsCache
 
 
 def dict_table(table_id="t0", name="c0", cells=("a", "b")) -> dict:

@@ -303,9 +303,9 @@ class TestContentKeying:
 
     def test_colliding_table_ids_with_cache_disabled(self, bundle_dir,
                                                      serve_tables):
-        # cache_size=0 promises every table is processed independently, so
-        # two *different* tables that happen to share an id must each get
-        # their own predictions — not the first table's.
+        # cache_size=0 stores nothing but still keys in-flight work by
+        # content, so two *different* tables that happen to share an id must
+        # each get their own predictions — not the first table's.
         a, b = serve_tables[0], serve_tables[1]
         b_clone = dataclasses.replace(b, table_id=a.table_id)
         service = AnnotationService.load(bundle_dir, cache_size=0)
@@ -315,6 +315,48 @@ class TestContentKeying:
 
 
 class TestConcurrentAnnotate:
+    def test_concurrent_requests_for_one_table_prepare_it_once(self, bundle_dir,
+                                                               serve_tables):
+        # cache_size=0 stores nothing, so only single-flight can spare the
+        # second request its Part-1 run: it joins the first one's flight.
+        import threading
+        import time as _time
+
+        shared = serve_tables[0]
+        with AnnotationService.load(bundle_dir, cache_size=0) as service:
+            expected = service.annotate(shared)
+            service.reset_stats()
+            prepared: list[int] = []
+            release = threading.Event()
+            original = service._prepare
+
+            def gated(tables):
+                prepared.append(len(tables))
+                assert release.wait(10.0)
+                return original(tables)
+
+            service._prepare = gated
+            results: list = []
+            threads = [threading.Thread(
+                target=lambda: results.append(service.annotate_batch([shared])))
+                for _ in range(2)]
+            give_up = _time.monotonic() + 10.0
+            threads[0].start()
+            while not prepared:
+                assert _time.monotonic() < give_up, "first request never led"
+                _time.sleep(0.001)
+            threads[1].start()
+            while service._cache.stats()["coalesced"] < 1:
+                assert _time.monotonic() < give_up, "second request never joined"
+                _time.sleep(0.001)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert results == [[expected], [expected]]
+            assert prepared == [1]
+            stats = service.stats()
+            assert (stats.cache_misses, stats.cache_hits) == (1, 1)
+
     def test_stats_counters_survive_threaded_annotate(self, bundle_dir,
                                                       serve_tables):
         # Regression test for the counter races: hammer annotate() from many
