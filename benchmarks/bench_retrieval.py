@@ -11,6 +11,9 @@ scale at which the paper resorts to Elasticsearch), then times
   per-query recall@10 parity and search latency,
 * sequential ``EntityLinker.link`` vs ``EntityLinker.link_batch`` throughput
   on a mention stream with realistic duplication,
+* Part 1 per chunk: ``KGCandidateExtractor.process_tables`` over 16-table
+  VizNet chunks vs a one-table ``process_table`` loop, each on a fresh
+  extractor over the synthetic world,
 * serving throughput: a tiny trained system exported through
   ``KGLinkAnnotator.into_service()`` and hit with the same tables as a
   one-table ``annotate()`` loop vs one ``annotate_batch()`` request (the
@@ -46,6 +49,9 @@ class _SeedSearchAdapter:
 
     def search(self, query: str, top_k: int) -> list[SearchHit]:
         return reference_search(self._index, query, top_k)
+
+    def search_batch(self, queries: list[str], top_k: int) -> list[list[SearchHit]]:
+        return [self.search(query, top_k) for query in queries]
 
 
 def build_corpus(n_docs: int, vocab_size: int, seed: int) -> list[tuple[str, str]]:
@@ -152,6 +158,53 @@ def run_serving(seed: int, n_tables: int = 64, max_batch: int = 16) -> dict:
     }
 
 
+def run_part1(seed: int, n_tables: int = 512, chunk: int = 16) -> dict:
+    """Part 1 throughput: ``process_tables`` per chunk vs a ``process_table`` loop.
+
+    Both paths start from a fresh extractor (empty linker and Part-1 memos)
+    over one shared index, so the ratio isolates what linking a whole chunk
+    at once buys; best of 3 per path, interleaved.
+    """
+    from repro.core.pipeline import KGCandidateExtractor
+    from repro.data import VizNetConfig, VizNetGenerator
+    from repro.kg.builder import KGWorldConfig, build_default_kg
+
+    world = build_default_kg(KGWorldConfig(seed=seed + 5))
+    tables = VizNetGenerator(
+        world, VizNetConfig(num_tables=n_tables, seed=seed + 13)
+    ).generate().tables
+    index = EntityLinker(world.graph).index
+    index.finalize()
+
+    def fresh() -> KGCandidateExtractor:
+        return KGCandidateExtractor(world.graph, linker=EntityLinker(index=index))
+
+    table_seconds = chunk_seconds = float("inf")
+    for _ in range(3):
+        extractor = fresh()
+        start = time.perf_counter()
+        per_table = [extractor.process_table(table) for table in tables]
+        table_seconds = min(table_seconds, time.perf_counter() - start)
+
+        extractor = fresh()
+        start = time.perf_counter()
+        per_chunk = [
+            processed
+            for first in range(0, len(tables), chunk)
+            for processed in extractor.process_tables(tables[first:first + chunk])
+        ]
+        chunk_seconds = min(chunk_seconds, time.perf_counter() - start)
+        assert per_chunk == per_table, "process_tables diverged from process_table"
+
+    return {
+        "n_tables": len(tables),
+        "chunk": chunk,
+        "tables_per_second_table": round(len(tables) / table_seconds, 1),
+        "tables_per_second_chunk": round(len(tables) / chunk_seconds, 1),
+        "chunk_vs_table_speedup": round(table_seconds / chunk_seconds, 2),
+    }
+
+
 def run(n_docs: int, vocab_size: int, n_queries: int, n_scalar_queries: int,
         top_k: int, seed: int) -> dict:
     documents = build_corpus(n_docs, vocab_size, seed)
@@ -245,6 +298,7 @@ def run(n_docs: int, vocab_size: int, n_queries: int, n_scalar_queries: int,
             "seed_engine_mentions_per_second": round(seed_rate, 1),
             "engine_speedup": round(batch_rate / seed_rate, 2),
         },
+        "part1": run_part1(seed),
         "serving": run_serving(seed),
     }
 

@@ -80,6 +80,9 @@ RETRIEVAL_METRICS = [
     Metric("bm25.float32_recall_at_10", higher_is_better=True, is_ratio=True,
            max_regression=0.001),
     Metric("linker.engine_speedup", higher_is_better=True, is_ratio=True),
+    # Part 1 over 16-table chunks (one link_batch, one search_batch per
+    # chunk) vs one table at a time: a within-run speedup, gated on CI.
+    Metric("part1.chunk_vs_table_speedup", higher_is_better=True, is_ratio=True),
     # annotate_batch vs a one-table annotate() loop on the same warmed
     # service: a within-run speedup, hardware-independent, gated on CI.
     Metric("serving.batch_vs_loop_speedup", higher_is_better=True, is_ratio=True),

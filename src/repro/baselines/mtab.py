@@ -68,7 +68,7 @@ class MTabAnnotator(BaseAnnotator):
         # dataset labels, estimated on the training corpus (the paper
         # translates VizNet labels to WikiData entities to make MTab work).
         cooccurrence: dict[str, Counter] = defaultdict(Counter)
-        for processed in self.extractor.process_corpus(train_corpus.tables):
+        for processed in self.extractor.process_tables(train_corpus.tables):
             for info in processed.columns:
                 candidate = self._best_candidate_type(info)
                 if candidate is None or info.label is None:
@@ -104,7 +104,7 @@ class MTabAnnotator(BaseAnnotator):
             raise RuntimeError("MTabAnnotator must be fitted before prediction")
         y_true: list[str] = []
         y_pred: list[str] = []
-        for processed in self.extractor.process_corpus(corpus.tables):
+        for processed in self.extractor.process_tables(corpus.tables):
             for info in processed.columns:
                 if info.label is None:
                     continue

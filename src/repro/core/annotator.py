@@ -221,10 +221,9 @@ class KGLinkAnnotator:
         """Run Part 1 over the corpora, build the model and fine-tune it."""
         start = time.perf_counter()
         self._service = None
-        process = self.extractor.process_table
-        processed_train = [process(table) for table in train_corpus.tables]
+        processed_train = self.extractor.process_tables(train_corpus.tables)
         processed_valid = (
-            [process(table) for table in validation_corpus.tables]
+            self.extractor.process_tables(validation_corpus.tables)
             if validation_corpus is not None else []
         )
         self.part1_seconds = time.perf_counter() - start

@@ -221,34 +221,37 @@ class KGCandidateExtractor:
     # ------------------------------------------------------------------ #
     # step 1: linking
     # ------------------------------------------------------------------ #
-    def link_table(self, table: Table) -> list[list[CellLinkage]]:
-        """Link every cell of ``table``; result is indexed ``[row][column]``.
+    def link_tables(self, tables: list[Table]) -> list[list[list[CellLinkage]]]:
+        """Link every cell of every table; each result is indexed ``[row][column]``.
 
-        All cell mentions are collected up front and resolved through one
-        deduplicated :meth:`~repro.kg.linker.EntityLinker.link_batch` call
-        (numbers and dates are filtered inside the batch), then fanned back
-        out to the row-major cell grid.
+        The distinct cell mentions of all tables are collected up front, their
+        schemas detected once each, and resolved through one
+        :meth:`~repro.kg.linker.EntityLinker.link_batch` call (numbers and
+        dates are filtered inside the batch), then fanned back out to each
+        table's row-major cell grid.
         """
-        mentions = [
-            table.cell(row_index, col_index)
-            for row_index in range(table.n_rows)
-            for col_index in range(table.n_columns)
-        ]
-        schemas = [self._schema(mention) for mention in mentions]
-        all_links = self.linker.link_batch(mentions, schemas=schemas)
-        n_cols = table.n_columns
-        linked: list[list[CellLinkage]] = []
-        for row_index in range(table.n_rows):
-            base = row_index * n_cols
-            linked.append([
-                CellLinkage(
-                    mention=mentions[base + col_index],
-                    schema=schemas[base + col_index],
-                    raw_links=all_links[base + col_index],
-                )
-                for col_index in range(n_cols)
-            ])
-        return linked
+        grids = [list(table.iter_rows()) for table in tables]
+        distinct = list(dict.fromkeys(
+            mention for grid in grids for row in grid for mention in row
+        ))
+        schemas = [self._schema(mention) for mention in distinct]
+        links = self.linker.link_batch(distinct, schemas=schemas)
+        resolved = dict(zip(distinct, zip(schemas, links)))
+        linked_tables: list[list[list[CellLinkage]]] = []
+        for grid in grids:
+            linked: list[list[CellLinkage]] = []
+            for row in grid:
+                cells: list[CellLinkage] = []
+                for mention in row:
+                    schema, raw_links = resolved[mention]
+                    cells.append(CellLinkage(mention, schema, list(raw_links)))
+                linked.append(cells)
+            linked_tables.append(linked)
+        return linked_tables
+
+    def link_table(self, table: Table) -> list[list[CellLinkage]]:
+        """Link every cell of one table (:meth:`link_tables` for one table)."""
+        return self.link_tables([table])[0]
 
     # ------------------------------------------------------------------ #
     # step 2: overlap filtering and row scores
@@ -402,9 +405,29 @@ class KGCandidateExtractor:
     # ------------------------------------------------------------------ #
     # end-to-end
     # ------------------------------------------------------------------ #
-    def process_table(self, table: Table) -> ProcessedTable:
-        """Run all three steps on ``table`` and return the processed result."""
-        linked = self.link_table(table)
+    def process_tables(self, tables) -> list[ProcessedTable]:
+        """Run Part 1 on every table of an iterable; results align with it.
+
+        Step 1 runs once for all the tables (:meth:`link_tables`, one
+        ``link_batch``); Steps 2–3 then run table by table.  Each result
+        equals what :meth:`process_table` returns for that table alone.
+        """
+        tables = list(tables)
+        return [
+            self.process_table(table, linked)
+            for table, linked in zip(tables, self.link_tables(tables), strict=True)
+        ]
+
+    def process_table(self, table: Table,
+                      linked: list[list[CellLinkage]] | None = None) -> ProcessedTable:
+        """Run all three steps on ``table`` and return the processed result.
+
+        ``linked`` is the table's Step-1 output when the caller has already
+        linked it (:meth:`process_tables` does); otherwise the table is linked
+        here first.  Step 2 fills it in place.
+        """
+        if linked is None:
+            linked = self.link_table(table)
         self.apply_overlap_filter(linked)
         row_scores = self.row_linking_scores(linked)
         kept_rows = self.select_rows(table, row_scores)
@@ -444,10 +467,6 @@ class KGCandidateExtractor:
             row_scores=row_scores,
             kept_row_indices=kept_rows,
         )
-
-    def process_corpus(self, tables) -> list[ProcessedTable]:
-        """Process every table of an iterable (convenience for the trainers)."""
-        return [self.process_table(table) for table in tables]
 
     # ------------------------------------------------------------------ #
     # statistics (Table III)

@@ -26,7 +26,7 @@ def run(resources: SharedResources | None = None,
         corpus = resources.corpus(dataset)
         key = ("table3", dataset)
         if key not in resources.cache:
-            processed = extractor.process_corpus(corpus.tables)
+            processed = extractor.process_tables(corpus.tables)
             resources.cache[key] = extractor.link_statistics(processed)
         stats = resources.cache[key]
         total = max(stats["total_columns"], 1)

@@ -189,6 +189,38 @@ def _normalize_term(term: str) -> str:
     return term.lower()
 
 
+# ``BM25Index.search_batch`` scores a query densely (one row of ``n_docs``
+# scores) once its postings exceed this share of the index's documents, and
+# sparsely (sorting its (query, doc) keys) below it.  Measured per query on a
+# 2-core host, sparse vs dense in us, kgbench KG (2,274 docs) | the retrieval
+# benchmark's 12k-doc Zipf corpus (float32), by postings per document:
+# 0.1-0.2: 35 vs 56 | 182 vs 256; 0.2-0.3: 51 vs 41 | 317 vs 110;
+# 0.7-1.0: 163 vs 41 | 1034 vs 178.  One ``search`` per query was slower than
+# the better route in every band (e.g. 19 vs 7 sparse below 0.01 on the KG,
+# 1793 vs 223 dense at 1-2 on the Zipf corpus).
+_DENSE_SHARE = 0.2
+# Most postings one block gathers (a query with more is a block of its own).
+# It bounds a block's arrays whatever the batch size: a dense row holds at
+# most 1 / _DENSE_SHARE scores per posting.  Small blocks stay in cache: a
+# 512-table kgbench pass searched in 69 / 76 / 73 ms at 2^14 / 2^15 / 2^18,
+# and the Zipf corpus's 400 queries in 58 / 59 / 104 ms.
+_MAX_BLOCK_POSTINGS = 1 << 14
+
+
+def _blocks(sized: list[tuple[int, float]], cap: float) -> list[list[int]]:
+    """Split ``(position, size)`` pairs into consecutive blocks of total size
+    at most ``cap`` (an item larger than ``cap`` makes a block of its own)."""
+    blocks: list[list[int]] = []
+    total = 0.0
+    for position, size in sized:
+        if not blocks or total + size > cap:
+            blocks.append([])
+            total = 0.0
+        blocks[-1].append(position)
+        total += size
+    return blocks
+
+
 def _select_top_hits(candidates: np.ndarray, candidate_scores: np.ndarray,
                      doc_ranks: np.ndarray, doc_ids: list[str],
                      top_k: int) -> list[SearchHit]:
@@ -514,13 +546,117 @@ class BM25Index:
 
     def search_batch(self, queries: Sequence[str], top_k: int = 10
                      ) -> list[list[SearchHit]]:
-        """Search many queries against the compiled index in one pass.
+        """Search many queries at once; results align with ``queries``.
 
-        The compile cost (``search`` self-finalizes on the first query) and
-        the score buffer are shared across the batch; results align with
-        ``queries``.
+        Each result is bitwise-equal to ``search(query, top_k)``.  Queries
+        are scored together in blocks of at most :data:`_MAX_BLOCK_POSTINGS`
+        postings (see :meth:`_score_block`), which pays numpy's per-call
+        overhead once per block instead of once per query: dense blocks for
+        queries whose postings exceed :data:`_DENSE_SHARE` of the documents,
+        sparse blocks for the others.
         """
-        return [self.search(query, top_k=top_k) for query in queries]
+        queries = list(queries)
+        results: list[list[SearchHit]] = [[] for _ in queries]
+        if top_k <= 0 or not queries:
+            return results
+        self.finalize()
+        term_slots, indptr = self._term_slots, self._indptr
+        # Known terms in query order, duplicates kept (the oracle's addition
+        # order); unknown terms add nothing.
+        query_slots = [
+            [term_slots[term] for term in basic_tokenize(query) if term in term_slots]
+            for query in queries
+        ]
+        owners = np.repeat(np.arange(len(queries)), [len(slots) for slots in query_slots])
+        slots = np.fromiter(
+            (slot for per_query in query_slots for slot in per_query),
+            dtype=np.int64, count=len(owners),
+        )
+        volume = np.bincount(
+            owners, weights=indptr[slots + 1] - indptr[slots], minlength=len(queries)
+        ).tolist()
+
+        n_docs = len(self._doc_ids)
+        threshold = _DENSE_SHARE * n_docs
+        blocks = [
+            (block, dense)
+            for dense in (False, True)
+            for block in _blocks(
+                [(position, postings) for position, postings in enumerate(volume)
+                 if postings and (postings > threshold) == dense],
+                _MAX_BLOCK_POSTINGS,
+            )
+        ]
+        if blocks:
+            rank_docs = np.empty(n_docs, dtype=np.int64)
+            rank_docs[self._doc_ranks] = np.arange(n_docs)
+            for block, dense in blocks:
+                self._score_block(block, query_slots, top_k, dense, rank_docs, results)
+        return results
+
+    def _score_block(self, positions: list[int], query_slots: list[list[int]],
+                     top_k: int, dense: bool, rank_docs: np.ndarray,
+                     results: list[list[SearchHit]]) -> None:
+        """Score the queries at ``positions`` together into ``results``.
+
+        The postings of every (query, term) pair are gathered in query order,
+        then term order; ``np.bincount`` then adds each (query, doc) key's
+        impacts in that input order, starting from 0.0 in float64, which are
+        exactly the additions :meth:`search` makes in its score buffer.  A
+        sparse block bincounts the sorted unique keys; a dense block bincounts
+        a ``(queries, n_docs)`` matrix and keeps each row's scores tied with
+        or above its k-th.  Keys are doc-id ranks, so candidates come out in
+        tie-break order and one stable ``lexsort`` ranks every query by
+        ``(-score, doc_id)``.
+        """
+        slots = np.fromiter(
+            (slot for position in positions for slot in query_slots[position]),
+            dtype=np.int64,
+        )
+        owners = np.repeat(
+            np.arange(len(positions)), [len(query_slots[p]) for p in positions]
+        )
+        starts = self._indptr[slots]
+        lengths = self._indptr[slots + 1] - starts
+        # Offsets of every gathered posting: each pair's slice of the CSR arrays.
+        pair_offsets = np.cumsum(lengths) - lengths
+        gather = np.arange(int(lengths.sum())) + np.repeat(starts - pair_offsets, lengths)
+        n_docs = len(self._doc_ids)
+        keys = np.repeat(owners, lengths) * n_docs + self._doc_ranks[self._posting_docs[gather]]
+        impacts = self._posting_impacts[gather]
+        if dense:
+            scores = np.bincount(
+                keys, weights=impacts, minlength=len(positions) * n_docs
+            ).reshape(len(positions), n_docs)
+            # Every impact is positive, so the touched documents are the
+            # positive scores.
+            keep = scores > 0.0
+            if top_k < n_docs:
+                keep &= scores >= np.partition(scores, n_docs - top_k, axis=1)[
+                    :, n_docs - top_k, None
+                ]
+            key_owners, key_ranks = np.nonzero(keep)
+            scores = scores[key_owners, key_ranks]
+        else:
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            scores = np.bincount(inverse, weights=impacts, minlength=len(unique_keys))
+            key_owners, key_ranks = np.divmod(unique_keys, n_docs)
+        # Stable: equal scores of one query stay in doc-id order.
+        order = np.lexsort((-scores, key_owners))
+        # Each query's candidates are one contiguous run, in the keys as in
+        # the sort; keep the first ``top_k`` of each run.
+        run_starts = np.searchsorted(key_owners, np.arange(len(positions)))
+        kept = order[np.arange(len(order)) - run_starts[key_owners[order]] < top_k]
+        doc_ids = self._doc_ids
+        hits = [
+            SearchHit(doc_ids[doc], score)
+            for doc, score in zip(rank_docs[key_ranks[kept]].tolist(), scores[kept].tolist())
+        ]
+        counts = np.bincount(key_owners[kept], minlength=len(positions)).tolist()
+        cursor = 0
+        for position, count in zip(positions, counts):
+            results[position] = hits[cursor:cursor + count]
+            cursor += count
 
 
 # --------------------------------------------------------------------------- #

@@ -12,14 +12,18 @@ Given a table cell mention, the linker
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from repro.kg.backends import BM25Parameters, RetrievalBackend, create_backend
 from repro.kg.graph import KnowledgeGraph
 from repro.text.ner import EntitySchema, detect_schema
 
-__all__ = ["EntityLink", "LinkerConfig", "EntityLinker"]
+__all__ = ["EntityLink", "LinkerConfig", "LinkCacheInfo", "EntityLinker"]
+
+# Bound of the linker's retrieval memo (distinct normalised mentions; a full
+# memo is cleared and refilled).
+_LINK_MEMO_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,15 @@ class LinkerConfig:
             raise ValueError("max_candidates must be positive")
 
 
+class LinkCacheInfo(NamedTuple):
+    """Retrieval memo statistics: one hit or miss per distinct key looked up."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
 class EntityLinker:
     """Link table cell mentions to candidate KG entities via ranked retrieval.
 
@@ -59,9 +72,13 @@ class EntityLinker:
     pre-built ``index`` (any backend — this is how serving processes inject
     an index restored from a bundle, and how several linkers share one
     index), or pass a ``graph`` whose entity documents are indexed into a
-    freshly created ``config.backend``.  Each mention is one in-process
-    ``index.search`` call; to use more processes, run service replicas
-    behind a :class:`~repro.fleet.FleetRouter`.
+    freshly created ``config.backend``.  Retrievals are memoised per
+    normalised mention (a dict bounded by ``_LINK_MEMO_SIZE``, cleared when
+    full), and :meth:`link_batch` sends every key the memo lacks to the
+    index in one ``index.search_batch`` call.  Like the extractor's memos,
+    the memo is unlocked: a linker serves one thread at a time (a service
+    calls it under its prepare lock).  To use more processes, run service
+    replicas behind a :class:`~repro.fleet.FleetRouter`.
     """
 
     def __init__(self, graph: KnowledgeGraph | None = None,
@@ -79,13 +96,11 @@ class EntityLinker:
         self.index = index
         # Mentions repeat heavily inside a corpus (same cities, teams, people
         # across tables); memoising the raw retrieval is a large speed-up.
-        self._cached_search = lru_cache(maxsize=200_000)(self._search)
+        self._memo: dict[str, tuple[EntityLink, ...]] = {}
+        self._hits = 0
+        self._misses = 0
 
     # ------------------------------------------------------------------ #
-    def _search(self, mention: str) -> tuple[EntityLink, ...]:
-        hits = self.index.search(mention, top_k=self.config.max_candidates)
-        return tuple(EntityLink(entity_id=hit.doc_id, score=hit.score) for hit in hits)
-
     def _retrieval_key(self, mention: str, schema: EntitySchema | None = None
                        ) -> str | None:
         """Normalised cache key for ``mention``, or ``None`` when it must not link.
@@ -111,18 +126,16 @@ class EntityLinker:
 
     def link(self, mention: str) -> list[EntityLink]:
         """Return candidate entity links for ``mention`` (possibly empty)."""
-        key = self._retrieval_key(mention)
-        if key is None:
-            return []
-        return list(self._cached_search(key))
+        return self.link_batch([mention])[0]
 
     def link_batch(self, mentions: Sequence[str],
                    schemas: Sequence[EntitySchema] | None = None
                    ) -> list[list[EntityLink]]:
         """Link many mentions at once; results align with ``mentions``.
 
-        Mentions are normalised and deduplicated before touching the index,
-        so a table whose cells repeat the same entity pays for one retrieval.
+        Mentions are normalised and deduplicated, and every distinct key the
+        memo lacks is resolved through one ``index.search_batch`` call, so a
+        batch whose cells repeat the same entity pays for one retrieval.
         ``schemas`` optionally supplies pre-detected schemas aligned with
         ``mentions`` to avoid re-running the number/date detector.  The
         per-mention results are identical to sequential :meth:`link` calls.
@@ -133,10 +146,28 @@ class EntityLinker:
             self._retrieval_key(mention, schemas[i] if schemas is not None else None)
             for i, mention in enumerate(mentions)
         ]
-        fresh = [key for key in dict.fromkeys(keys) if key is not None]
-        # The lru_cache stays the cross-table layer: each distinct key is
-        # resolved through it exactly once per batch.
-        resolved = {key: self._cached_search(key) for key in fresh}
+        # Answers are read into ``resolved`` before the memo is written, so a
+        # memo cleared part-way through the batch loses none of them.
+        memo = self._memo
+        resolved: dict[str, tuple[EntityLink, ...]] = {}
+        missing: list[str] = []
+        for key in dict.fromkeys(keys):
+            if key is None:
+                continue
+            links = memo.get(key)
+            if links is None:
+                missing.append(key)
+            else:
+                resolved[key] = links
+        self._hits += len(resolved)
+        self._misses += len(missing)
+        if missing:
+            found = self.index.search_batch(missing, top_k=self.config.max_candidates)
+            for key, hits in zip(missing, found, strict=True):
+                links = tuple([EntityLink(hit.doc_id, hit.score) for hit in hits])
+                if len(memo) >= _LINK_MEMO_SIZE:
+                    memo.clear()
+                memo[key] = resolved[key] = links
         return [list(resolved[key]) if key is not None else [] for key in keys]
 
     def best_link(self, mention: str) -> EntityLink | None:
@@ -149,10 +180,11 @@ class EntityLinker:
         best = self.best_link(mention)
         return best.score if best is not None else 0.0
 
-    def cache_info(self):
-        """Expose retrieval cache statistics (useful in benchmarks)."""
-        return self._cached_search.cache_info()
+    def cache_info(self) -> LinkCacheInfo:
+        """Retrieval memo statistics (read by the benchmarks)."""
+        return LinkCacheInfo(self._hits, self._misses, _LINK_MEMO_SIZE, len(self._memo))
 
     def cache_clear(self) -> None:
-        """Drop the memoised retrievals (cold-cache benchmarking)."""
-        self._cached_search.cache_clear()
+        """Drop the memoised retrievals and zero the statistics (cold-cache benchmarking)."""
+        self._memo.clear()
+        self._hits = self._misses = 0

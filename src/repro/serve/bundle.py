@@ -27,6 +27,7 @@ has nothing but the bundle directory.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -296,7 +297,22 @@ class ServiceBundle:
         :class:`~repro.core.errors.BundleCorrupted` naming the offending
         file or manifest field.  An unsupported-but-well-formed format still
         raises ``ValueError`` (a compatibility problem, not a corrupt bundle).
+
+        The cyclic garbage collector is paused while the bundle is parsed:
+        everything the load allocates stays alive, and a full collection
+        landing inside it (which depends on what the process did before)
+        added 40-120 ms to a 60-80 ms load of the kgbench bundle.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(directory)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load(cls, directory: str | Path) -> ServiceBundle:
         directory = Path(directory)
         manifest = _read_manifest(directory)
         version = manifest.get("format_version")

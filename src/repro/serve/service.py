@@ -275,10 +275,8 @@ class AnnotationService:
         """Part 1 + serialisation for ``tables``: the cache's lead tables."""
         with self._prepare_lock:
             return [
-                self.trainer.prepare_example(
-                    self.extractor.process_table(table), with_ground_truth=False
-                )
-                for table in tables
+                self.trainer.prepare_example(processed, with_ground_truth=False)
+                for processed in self.extractor.process_tables(tables)
             ]
 
     def _predict(self, examples: list[PreparedExample]) -> list[list[str]]:

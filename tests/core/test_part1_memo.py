@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import pipeline
 from repro.core.pipeline import CellLinkage, KGCandidateExtractor, Part1Config
 from repro.data.table import Column, Table
+from repro.kg import linker as linker_module
+from repro.kg.linker import EntityLinker
 from repro.text import tokenizer as tokenizer_module
 from repro.text.ner import _NUMBER_RE, EntitySchema, detect_schema, is_date_mention
 from repro.text.ner import is_numeric_mention, is_person_mention
@@ -145,7 +147,7 @@ class TestPart1Oracles:
 
     def test_warm_extractor_equals_fresh_one(self, graph, linker, tables):
         warm = fresh_extractor(graph, linker)
-        warm.process_corpus(tables)  # fill every memo
+        warm.process_tables(tables)  # fill every memo
         for table in tables:
             assert warm.process_table(table) == fresh_extractor(graph, linker).process_table(
                 table
@@ -203,6 +205,54 @@ class TestPart1Oracles:
             # Clearing a full memo never changes an answer.
             assert processed == fresh_extractor(graph, linker).process_table(table)
         assert all(memo for owned in memos.values() for memo in owned)
+
+
+# --------------------------------------------------------------------------- #
+# Part 1 per chunk
+# --------------------------------------------------------------------------- #
+def own_linker(linker) -> EntityLinker:
+    """A linker with an empty memo over the shared index."""
+    return EntityLinker(config=linker.config, index=linker.index)
+
+
+class TestChunkPath:
+    @pytest.mark.parametrize("corpus", ["semtab_corpus", "viznet_corpus"])
+    @pytest.mark.parametrize("tight", [False, True], ids=["default-bounds", "tight-bounds"])
+    def test_process_tables_equals_table_at_a_time(self, graph, linker, corpus, tight,
+                                                    request, monkeypatch):
+        tables = list(request.getfixturevalue(corpus).tables)
+        if tight:
+            for name, bound in {"_NEIGHBOR_MEMO_SIZE": 7, "_UNION_MEMO_SIZE": 5,
+                                "_SCHEMA_MEMO_SIZE": 11}.items():
+                monkeypatch.setattr(pipeline, name, bound)
+            monkeypatch.setattr(linker_module, "_LINK_MEMO_SIZE", 13)
+        per_table = fresh_extractor(graph, own_linker(linker))
+        want = [per_table.process_table(table) for table in tables]
+        assert fresh_extractor(graph, own_linker(linker)).process_tables(tables) == want
+        chunked = fresh_extractor(graph, own_linker(linker))
+        got = [processed for start in range(0, len(tables), 7)
+               for processed in chunked.process_tables(tables[start:start + 7])]
+        assert got == want
+
+    def test_link_tables_equals_link_table(self, graph, linker, tables):
+        extractor = fresh_extractor(graph, own_linker(linker))
+        want = [fresh_extractor(graph, linker).link_table(table) for table in tables]
+        assert extractor.link_tables(tables) == want
+        assert extractor.link_tables([]) == []
+
+    def test_chunk_links_through_one_search_batch(self, graph, linker, tables):
+        calls = []
+        chunk_linker = own_linker(linker)
+        search_batch = chunk_linker.index.search_batch
+
+        class Spy:
+            def search_batch(self, queries, top_k=10):
+                calls.append(len(queries))
+                return search_batch(queries, top_k=top_k)
+
+        chunk_linker.index = Spy()
+        fresh_extractor(graph, chunk_linker).process_tables(tables[:16])
+        assert len(calls) == 1 and calls[0] > 0
 
 
 # --------------------------------------------------------------------------- #

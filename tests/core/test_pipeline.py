@@ -212,13 +212,13 @@ class TestProcessTable:
 
 class TestLinkStatistics:
     def test_statistics_totals(self, extractor, semtab_corpus):
-        processed = extractor.process_corpus(semtab_corpus.tables[:10])
+        processed = extractor.process_tables(semtab_corpus.tables[:10])
         stats = extractor.link_statistics(processed)
         assert stats["total_columns"] == sum(t.n_columns for t in semtab_corpus.tables[:10])
         assert stats["numeric_columns"] == 0
 
     def test_viznet_has_numeric_and_uncovered_columns(self, extractor, viznet_corpus):
-        processed = extractor.process_corpus(viznet_corpus.tables[:15])
+        processed = extractor.process_tables(viznet_corpus.tables[:15])
         stats = extractor.link_statistics(processed)
         assert stats["numeric_columns"] > 0
         assert stats["non_numeric_without_candidate_type"] >= stats["non_numeric_without_feature_vector"]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.kg import linker as linker_module
 from repro.kg.graph import KnowledgeGraph, Predicates
-from repro.kg.linker import EntityLinker, LinkerConfig
+from repro.kg.linker import EntityLinker, LinkCacheInfo, LinkerConfig
 from repro.text.ner import EntitySchema
 
 
@@ -142,6 +143,61 @@ class TestLinkBatch:
         hits_before = linker.cache_info().hits
         assert linker.link_batch(["Peter Steele"]) == [expected]
         assert linker.cache_info().hits == hits_before + 1
+
+
+class _CountingIndex:
+    """Wraps an index and records every batch of queries sent to it."""
+
+    def __init__(self, index):
+        self.index = index
+        self.batches: list[list[str]] = []
+
+    def search(self, query, top_k=10):
+        raise AssertionError("the linker searches through search_batch only")
+
+    def search_batch(self, queries, top_k=10):
+        self.batches.append(list(queries))
+        return self.index.search_batch(queries, top_k=top_k)
+
+
+class TestRetrievalMemo:
+    def test_missing_keys_go_through_one_search_batch(self, small_graph):
+        linker = EntityLinker(small_graph, LinkerConfig(max_candidates=5))
+        counting = _CountingIndex(linker.index)
+        linker.index = counting
+        linker.link_batch(["Peter Steele", "1234", "peter steele", "Riverton Tigers"])
+        assert counting.batches == [["peter steele", "riverton tigers"]]
+        linker.link_batch(["Riverton Tigers", "Peter", "PETER STEELE"])
+        assert counting.batches[1:] == [["peter"]]
+        linker.link_batch(["Peter Steele", "42"])  # all memoised: no search
+        assert len(counting.batches) == 2
+
+    def test_cache_info_counts_distinct_keys(self, small_graph):
+        linker = EntityLinker(small_graph, LinkerConfig(max_candidates=5))
+        linker.link_batch(["Peter Steele", "Peter Steele", "Peter", "1234"])
+        linker.link_batch(["Peter", "Riverton Tigers"])
+        info = linker.cache_info()
+        assert isinstance(info, LinkCacheInfo)
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+        assert info.maxsize == linker_module._LINK_MEMO_SIZE
+        linker.cache_clear()
+        assert linker.cache_info()[:2] == (0, 0) and linker.cache_info().currsize == 0
+
+    def test_memo_filling_part_way_through_a_batch(self, small_graph, monkeypatch):
+        mentions = ["Peter Steele", "Riverton Tigers", "Peter", "Musician",
+                    "Riverton", "Peter Steele", "Johnson", "PETER"]
+        expected = EntityLinker(small_graph, LinkerConfig(max_candidates=5)).link_batch(
+            mentions
+        )
+        monkeypatch.setattr(linker_module, "_LINK_MEMO_SIZE", 2)
+        linker = EntityLinker(small_graph, LinkerConfig(max_candidates=5))
+        linker.link_batch(["Peter Steele", "Riverton"])  # memo now full
+        # Two hits, then four misses that clear the memo twice mid-batch.
+        assert linker.link_batch(mentions) == expected
+        info = linker.cache_info()
+        assert (info.hits, info.misses) == (2, 2 + 4)
+        assert info.currsize <= 2
+        assert [linker.link(mention) for mention in mentions] == expected
 
 
 class TestAgainstSyntheticWorld:

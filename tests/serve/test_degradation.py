@@ -8,6 +8,7 @@ with :class:`~repro.core.errors.ServiceClosed` and reports ``failed``.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -87,6 +88,24 @@ class TestBundleValidation:
         (clone / "index.npz").unlink()
         with pytest.raises(BundleCorrupted, match="index.npz"):
             ServiceBundle.load(clone)
+
+    def test_load_restores_the_garbage_collector(self, bundle_dir, tmp_path):
+        # The load pauses the cyclic collector; it must come back on after a
+        # clean load and after a failed one, and stay off if it was off.
+        clone = _clone_bundle(bundle_dir, tmp_path / "gc")
+        (clone / "index.npz").unlink()
+        assert gc.isenabled()
+        ServiceBundle.load(bundle_dir)
+        assert gc.isenabled()
+        with pytest.raises(BundleCorrupted):
+            ServiceBundle.load(clone)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            ServiceBundle.load(bundle_dir)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_garbage_manifest_rejected(self, bundle_dir, tmp_path):
         clone = _clone_bundle(bundle_dir, tmp_path / "garbage")
