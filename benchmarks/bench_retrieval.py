@@ -4,7 +4,7 @@ Builds a synthetic corpus of ``--n-docs`` documents (default 12k, matching the
 scale at which the paper resorts to Elasticsearch), then times
 
 * index build + CSR compilation (``finalize``),
-* the vectorized ``BM25Index.search`` path,
+* the vectorized ``BM25Index.search_batch`` path (every query in one call),
 * the seed scalar path (candidate set from postings, one ``score()`` call per
   candidate) as the baseline the speedup is measured against,
 * float32 postings (the default since PR 5) against the float64 index:

@@ -59,7 +59,7 @@ def main() -> None:
         mention = column.cells[0]
         links = linked[0][col_index].raw_links[:3]
         rendered = ", ".join(
-            f"{world.graph.entity(link.entity_id).label} ({link.score:.2f})" for link in links
+            f"{world.graph.entity(link.doc_id).label} ({link.score:.2f})" for link in links
         )
         print(f"  {column.name:8s} {mention!r:30s} -> {rendered}")
 

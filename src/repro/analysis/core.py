@@ -4,7 +4,7 @@
 and reproducibility invariants that PRs 5–7 documented in prose (lock-guarded
 telemetry, monotonic deadlines, the typed error taxonomy, seeded randomness)
 become machine-checked rules that run over the real tree in CI.  The design
-mirrors the retrieval-backend registry elsewhere in the repo:
+is a code-keyed rule registry:
 
 * a :class:`Rule` subclass registers under a stable ``REP1xx`` code via
   :func:`register_rule` and declares the dotted-module prefixes it applies to

@@ -106,7 +106,7 @@ class HNNAnnotator(BaseAnnotator):
         first_cell = next((cell for cell in column.cells if cell.strip()), "")
         best = self.linker.best_link(first_cell) if first_cell else None
         if best is not None:
-            for type_id in self.graph.types_of(best.entity_id):
+            for type_id in self.graph.types_of(best.doc_id):
                 index = self._type_index.get(type_id)
                 if index is not None:
                     type_features[index] = 1.0

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.data.table import Column, Table, schemas_are_numeric
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.linker import EntityLink, EntityLinker, LinkerConfig
+from repro.kg.backends import SearchHit
+from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.kg.snapshot import KGSnapshot
 from repro.text.ner import EntitySchema, detect_schema
 
@@ -84,7 +85,8 @@ class CellLinkage:
 
     mention: str
     schema: EntitySchema
-    raw_links: list[EntityLink] = field(default_factory=list)
+    # the linker's hits, best first (``doc_id`` is the entity id)
+    raw_links: list[SearchHit] = field(default_factory=list)
     # entity id -> overlapping score (Eq. 6), populated in step 2
     candidate_entities: dict[str, float] = field(default_factory=dict)
     linking_score: float = 0.0
@@ -139,8 +141,8 @@ class KGCandidateExtractor:
     ``graph`` may be a full :class:`~repro.kg.graph.KnowledgeGraph` or the
     serialisable :class:`~repro.kg.snapshot.KGSnapshot` a service bundle
     ships — the extractor only touches the entity/one-hop-neighbourhood
-    surface both expose.  Retrieval goes through ``linker``, which talks to
-    any :class:`~repro.kg.backends.RetrievalBackend`.
+    surface both expose.  Retrieval goes through ``linker``, which searches
+    a :class:`~repro.kg.backends.BM25Index`.
     """
 
     def __init__(
@@ -196,11 +198,11 @@ class KGCandidateExtractor:
             )
         return cached
 
-    def _neighborhood_union(self, links: list[EntityLink]) -> frozenset[str]:
+    def _neighborhood_union(self, links: list[SearchHit]) -> frozenset[str]:
         """Union of the one-hop neighbourhoods of a cell's linked entities."""
         if not links:
             return _EMPTY
-        key = tuple([link.entity_id for link in links])
+        key = tuple([link.doc_id for link in links])
         cached = self._union_cache.get(key)
         if cached is None:
             cached = self._remember(
@@ -289,10 +291,10 @@ class KGCandidateExtractor:
                 for link in cell.raw_links:
                     overlap = 0
                     for neighborhood in other_neighborhoods:
-                        if link.entity_id in neighborhood:
+                        if link.doc_id in neighborhood:
                             overlap += 1
                     if overlap > 0:
-                        scores_by_entity[link.entity_id] = float(overlap)
+                        scores_by_entity[link.doc_id] = float(overlap)
                         best_pruned_score = max(best_pruned_score, link.score)
                 if scores_by_entity:
                     cell.candidate_entities = scores_by_entity
@@ -303,7 +305,7 @@ class KGCandidateExtractor:
                     # feature sequence, but the cell contributes no linking
                     # score to the row filter.
                     cell.candidate_entities = {
-                        link.entity_id: 0.0 for link in cell.raw_links
+                        link.doc_id: 0.0 for link in cell.raw_links
                     }
                     cell.linking_score = 0.0
 
@@ -370,9 +372,9 @@ class KGCandidateExtractor:
         for row_index in kept_rows:
             cell = linked[row_index][col_index]
             for link in cell.raw_links:
-                if link.entity_id in cell.candidate_entities and link.score > best_score:
+                if link.doc_id in cell.candidate_entities and link.score > best_score:
                     best_score = link.score
-                    best_entity = link.entity_id
+                    best_entity = link.doc_id
         if best_entity is None:
             return ""
         entity = self.graph.entity(best_entity)

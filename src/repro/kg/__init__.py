@@ -6,13 +6,13 @@ the same capabilities entirely in memory:
 
 * :class:`~repro.kg.graph.KnowledgeGraph` — entities with labels, aliases and
   descriptions, predicates, typed triples and one-hop neighbourhood queries.
-* :mod:`~repro.kg.backends` — pluggable retrieval engines behind the
-  :class:`~repro.kg.backends.RetrievalBackend` protocol: an Okapi BM25
-  inverted index over the entity documents (label + aliases + description,
-  Eq. 1–2 of the paper) and a character-n-gram embedding retriever.
+* :class:`~repro.kg.backends.BM25Index` — the Okapi BM25 inverted index over
+  the entity documents (label + aliases + description, Eq. 1–2 of the
+  paper), the one retrieval engine.
 * :class:`~repro.kg.linker.EntityLinker` — mention → candidate-entity linking
   that applies the named-entity schema filter (numbers and dates are never
-  linked) before querying the backend.
+  linked) before querying the index; links are the index's
+  :class:`~repro.kg.backends.SearchHit` records.
 * :class:`~repro.kg.snapshot.KGSnapshot` — a serialisable read-only view of
   the graph slice Part 1 needs, used by serving bundles.
 * :class:`~repro.kg.builder.SyntheticKGBuilder` — constructs a synthetic
@@ -21,18 +21,8 @@ the same capabilities entirely in memory:
 """
 
 from repro.kg.graph import Entity, KnowledgeGraph, Predicates, Triple
-from repro.kg.backends import (
-    BM25Index,
-    BM25Parameters,
-    CharNGramIndex,
-    RetrievalBackend,
-    SearchHit,
-    create_backend,
-    backend_from_documents,
-    register_backend,
-    restore_backend,
-)
-from repro.kg.linker import EntityLink, EntityLinker, LinkerConfig
+from repro.kg.backends import BM25Index, BM25Parameters, SearchHit
+from repro.kg.linker import EntityLinker, LinkerConfig
 from repro.kg.snapshot import KGSnapshot
 from repro.kg.builder import KGWorldConfig, SyntheticKGBuilder, build_default_kg
 
@@ -43,14 +33,7 @@ __all__ = [
     "Triple",
     "BM25Index",
     "BM25Parameters",
-    "CharNGramIndex",
-    "RetrievalBackend",
     "SearchHit",
-    "create_backend",
-    "backend_from_documents",
-    "register_backend",
-    "restore_backend",
-    "EntityLink",
     "EntityLinker",
     "LinkerConfig",
     "KGSnapshot",

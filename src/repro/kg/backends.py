@@ -1,50 +1,31 @@
-"""Pluggable retrieval backends behind one protocol.
+"""The Okapi BM25 retrieval index the entity linker searches (Eq. 1–2).
 
-The entity linker (and everything above it) talks to retrieval exclusively
-through the :class:`RetrievalBackend` protocol:
+:class:`BM25Index` is built from ``(doc_id, text)`` documents and compiled by
+``finalize()`` into CSR arrays (idempotent, invalidated by further
+``add_document`` calls).  Retrieval ranks by ``(-score, doc_id)``:
+``search_batch(queries, top_k)`` is the one scoring path, ``search(query,
+top_k)`` is its one-query form, and the scalar :meth:`BM25Index.score` /
+:func:`reference_search` pair is the oracle both are held to.
+``export_state()`` / ``from_state(state)`` round-trip the *compiled* arrays
+through a ``dict[str, np.ndarray]`` so a serving process can load an index
+from a bundle without the original documents or a rebuild.  An index restored
+this way is frozen: it serves searches but rejects ``add_document`` (the
+builder-side structures are deliberately not serialised).
 
-* ``add_document(doc_id, text)`` — index one document,
-* ``finalize()`` — compile the index for querying (idempotent, invalidated by
-  further ``add_document`` calls),
-* ``search(query, top_k)`` / ``search_batch(queries, top_k)`` — ranked
-  retrieval with the deterministic ``(-score, doc_id)`` tie-break,
-* ``export_state()`` / ``from_state(state)`` — round-trip the *compiled*
-  arrays through a ``dict[str, np.ndarray]`` so a serving process can load an
-  index from a bundle without the original documents or a rebuild.  A backend
-  restored this way is frozen: it serves searches but rejects
-  ``add_document`` (the builder-side structures are deliberately not
-  serialised).
-
-Two implementations ship here and both must pass the shared conformance suite
-(``tests/kg/test_backends.py``):
-
-* :class:`BM25Index` — the Okapi BM25 inverted index compiled to CSR arrays.
-* :class:`CharNGramIndex` — a character-n-gram hashed-embedding retriever:
-  documents and queries are embedded into a fixed-dimension count vector of
-  hashed character n-grams and ranked by cosine similarity, which tolerates
-  typos and partial mentions BM25's exact term match cannot.
-
-Backends register themselves under a ``backend_name`` so bundles can record
-which implementation produced an index and :func:`create_backend` /
-:func:`restore_backend` can reconstruct it by name.
-
-The ``dtype`` knob selects the dtype of the score-carrying arrays (BM25's
-postings impacts, the n-gram embedding matrix).  ``float32`` (the default
-since recall parity with float64 was recorded on the full corpus generators —
-see ``bm25.float32_recall_at_10`` in ``BENCH_retrieval.json``) halves the
-index's memory traffic; ``float64`` keeps bitwise parity with the scalar
-oracle.  Scores always accumulate in a float64 buffer, so the deterministic
+The ``dtype`` knob selects the dtype of the postings impacts.  ``float32``
+(the default since recall parity with float64 was recorded on the full corpus
+generators — see ``bm25.float32_recall_at_10`` in ``BENCH_retrieval.json``)
+halves the index's memory traffic; ``float64`` keeps bitwise parity with the
+scalar oracle.  Scores always accumulate in float64, so the deterministic
 tie-break is preserved under either dtype.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import ClassVar, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -53,13 +34,7 @@ from repro.text.tokenizer import basic_tokenize
 __all__ = [
     "BM25Parameters",
     "SearchHit",
-    "RetrievalBackend",
     "BM25Index",
-    "CharNGramIndex",
-    "register_backend",
-    "create_backend",
-    "restore_backend",
-    "backend_from_documents",
     "reference_search",
 ]
 
@@ -84,87 +59,6 @@ class SearchHit:
 
     doc_id: str
     score: float
-
-
-@runtime_checkable
-class RetrievalBackend(Protocol):
-    """What the entity linker requires of a retrieval engine.
-
-    Implementations must rank by ``(-score, doc_id)`` (ties broken by the
-    lexicographically smaller document id), return only strictly positive
-    scores, and support the compiled-state round trip used by service
-    bundles.
-    """
-
-    backend_name: ClassVar[str]
-
-    def add_document(self, doc_id: str, text: str) -> None: ...
-
-    def finalize(self) -> None: ...
-
-    @property
-    def is_finalized(self) -> bool: ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, doc_id: str) -> bool: ...
-
-    def search(self, query: str, top_k: int = 10) -> list[SearchHit]: ...
-
-    def search_batch(self, queries: Sequence[str], top_k: int = 10
-                     ) -> list[list[SearchHit]]: ...
-
-    def export_state(self) -> dict[str, np.ndarray]: ...
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> RetrievalBackend: ...
-
-
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-_BACKENDS: dict[str, type] = {}
-
-
-def register_backend(cls):
-    """Register a backend class under its ``backend_name`` (decorator-friendly)."""
-    name = getattr(cls, "backend_name", None)
-    if not name:
-        raise ValueError(f"{cls!r} must define a non-empty backend_name")
-    _BACKENDS[name] = cls
-    return cls
-
-
-def create_backend(name: str, **kwargs) -> RetrievalBackend:
-    """Instantiate a registered backend by name (kwargs go to its constructor)."""
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown retrieval backend {name!r}; registered: {sorted(_BACKENDS)}"
-        ) from None
-    return cls(**kwargs)
-
-
-def restore_backend(name: str, state: dict[str, np.ndarray]) -> RetrievalBackend:
-    """Reconstruct a backend of type ``name`` from exported compiled state."""
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown retrieval backend {name!r}; registered: {sorted(_BACKENDS)}"
-        ) from None
-    return cls.from_state(state)
-
-
-def backend_from_documents(documents: Iterable[tuple[str, str]], name: str = "bm25",
-                           **kwargs) -> RetrievalBackend:
-    """Build and finalize a backend over ``(doc_id, text)`` pairs."""
-    backend = create_backend(name, **kwargs)
-    for doc_id, text in documents:
-        backend.add_document(doc_id, text)
-    backend.finalize()
-    return backend
 
 
 def _as_str_array(values: Sequence[str]) -> np.ndarray:
@@ -195,9 +89,9 @@ def _normalize_term(term: str) -> str:
 # 2-core host, sparse vs dense in us, kgbench KG (2,274 docs) | the retrieval
 # benchmark's 12k-doc Zipf corpus (float32), by postings per document:
 # 0.1-0.2: 35 vs 56 | 182 vs 256; 0.2-0.3: 51 vs 41 | 317 vs 110;
-# 0.7-1.0: 163 vs 41 | 1034 vs 178.  One ``search`` per query was slower than
-# the better route in every band (e.g. 19 vs 7 sparse below 0.01 on the KG,
-# 1793 vs 223 dense at 1-2 on the Zipf corpus).
+# 0.7-1.0: 163 vs 41 | 1034 vs 178.  Scoring one query at a time in a shared
+# score buffer was slower than the better route in every band (e.g. 19 vs 7
+# sparse below 0.01 on the KG, 1793 vs 223 dense at 1-2 on the Zipf corpus).
 _DENSE_SHARE = 0.2
 # Most postings one block gathers (a query with more is a block of its own).
 # It bounds a block's arrays whatever the batch size: a dense row holds at
@@ -221,34 +115,6 @@ def _blocks(sized: list[tuple[int, float]], cap: float) -> list[list[int]]:
     return blocks
 
 
-def _select_top_hits(candidates: np.ndarray, candidate_scores: np.ndarray,
-                     doc_ranks: np.ndarray, doc_ids: list[str],
-                     top_k: int) -> list[SearchHit]:
-    """Rank candidate documents by ``(-score, doc_id)`` and truncate to ``top_k``.
-
-    This is the protocol's shared tie-break, used by every backend: before
-    the lexsort, everything tied with the k-th score is kept so boundary
-    ties are broken by doc id exactly as a full sort would break them.
-    """
-    k = min(top_k, len(candidates))
-    if len(candidates) > k:
-        kth = np.partition(candidate_scores, len(candidates) - k)[
-            len(candidates) - k
-        ]
-        keep = candidate_scores >= kth
-        candidates = candidates[keep]
-        candidate_scores = candidate_scores[keep]
-    order = np.lexsort((doc_ranks[candidates], -candidate_scores))[:k]
-    return [
-        SearchHit(doc_id=doc_ids[candidates[i]], score=float(candidate_scores[i]))
-        for i in order
-    ]
-
-
-# --------------------------------------------------------------------------- #
-# BM25
-# --------------------------------------------------------------------------- #
-@register_backend
 class BM25Index:
     """An inverted index with Okapi BM25 ranking (Eq. 1–2 of the paper).
 
@@ -277,11 +143,9 @@ class BM25Index:
     parity with float64 is recorded on the full corpus generators, see
     ``BENCH_retrieval.json``) halves the postings memory traffic;
     ``float64`` is bitwise-identical to the scalar :meth:`score` oracle.
-    Scores always accumulate in a float64 buffer, so exact ties (equal
+    Scores always accumulate in float64, so exact ties (equal
     impacts in both dtypes) keep the same deterministic doc-id tie-break.
     """
-
-    backend_name: ClassVar[str] = "bm25"
 
     def __init__(self, parameters: BM25Parameters | None = None,
                  dtype: str | np.dtype = np.float32):
@@ -305,7 +169,6 @@ class BM25Index:
         self._indptr: np.ndarray | None = None
         self._posting_docs: np.ndarray | None = None
         self._posting_impacts: np.ndarray | None = None
-        self._score_buffer: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -385,7 +248,7 @@ class BM25Index:
     def finalize(self) -> None:
         """Compile the dict-based postings into the CSR arrays.
 
-        Called lazily by :meth:`search`; calling it eagerly after bulk
+        Called lazily by :meth:`search_batch`; calling it eagerly after bulk
         construction moves the cost out of the first query.  Idempotent, and
         invalidated by :meth:`add_document`.
         """
@@ -437,7 +300,6 @@ class BM25Index:
         self._indptr = indptr
         self._posting_docs = posting_docs
         self._posting_impacts = impacts.astype(self.dtype, copy=False)
-        self._score_buffer = np.zeros(len(doc_ids), dtype=np.float64)
         self._compiled = True
 
     # ------------------------------------------------------------------ #
@@ -473,7 +335,6 @@ class BM25Index:
         index._indptr = np.asarray(state["indptr"], dtype=np.int64)
         index._posting_docs = np.asarray(state["posting_docs"], dtype=np.int64)
         index._posting_impacts = impacts
-        index._score_buffer = np.zeros(len(index._doc_ids), dtype=np.float64)
         index._frozen = True
         index._compiled = True
         return index
@@ -485,7 +346,7 @@ class BM25Index:
         """BM25 score of ``doc_id`` for ``query`` (0 for unindexed documents).
 
         This scalar path is the reference oracle for the vectorized
-        :meth:`search`; the parity tests hold the two to each other.  It
+        :meth:`search_batch`; the parity tests hold the two to each other.  It
         requires the builder dicts and therefore raises on an index restored
         with :meth:`from_state`.
         """
@@ -508,52 +369,22 @@ class BM25Index:
         return total
 
     def search(self, query: str, top_k: int = 10) -> list[SearchHit]:
-        """Return the ``top_k`` highest-scoring documents for ``query``.
-
-        Only documents sharing at least one term with the query are scored,
-        mirroring how an inverted index narrows the candidate set.  Every
-        impact is strictly positive (the +1-smoothed IDF never vanishes), so
-        every touched document is a genuine hit.
-        """
-        if top_k <= 0:
-            return []
-        query_terms = basic_tokenize(query)
-        if not query_terms:
-            return []
-        self.finalize()
-
-        scores = self._score_buffer
-        touched: list[np.ndarray] = []
-        # Iterate tokens in query order (duplicates included) so the per-doc
-        # float accumulation replays the oracle's additions exactly.
-        for term in query_terms:
-            slot = self._term_slots.get(term)
-            if slot is None:
-                continue
-            start, stop = self._indptr[slot], self._indptr[slot + 1]
-            docs = self._posting_docs[start:stop]
-            scores[docs] += self._posting_impacts[start:stop]
-            touched.append(docs)
-        if not touched:
-            return []
-
-        candidates = np.unique(np.concatenate(touched))
-        candidate_scores = scores[candidates].copy()
-        scores[candidates] = 0.0  # reset the shared buffer for the next query
-        return _select_top_hits(
-            candidates, candidate_scores, self._doc_ranks, self._doc_ids, top_k
-        )
+        """Return the ``top_k`` highest-scoring documents for ``query``."""
+        return self.search_batch([query], top_k)[0]
 
     def search_batch(self, queries: Sequence[str], top_k: int = 10
                      ) -> list[list[SearchHit]]:
         """Search many queries at once; results align with ``queries``.
 
-        Each result is bitwise-equal to ``search(query, top_k)``.  Queries
-        are scored together in blocks of at most :data:`_MAX_BLOCK_POSTINGS`
-        postings (see :meth:`_score_block`), which pays numpy's per-call
-        overhead once per block instead of once per query: dense blocks for
-        queries whose postings exceed :data:`_DENSE_SHARE` of the documents,
-        sparse blocks for the others.
+        Only documents sharing at least one term with a query are scored,
+        mirroring how an inverted index narrows the candidate set.  Every
+        impact is strictly positive (the +1-smoothed IDF never vanishes), so
+        every touched document is a genuine hit.  Queries are scored
+        together in blocks of at most :data:`_MAX_BLOCK_POSTINGS` postings
+        (see :meth:`_score_block`), which pays numpy's per-call overhead once
+        per block instead of once per query: dense blocks for queries whose
+        postings exceed :data:`_DENSE_SHARE` of the documents, sparse blocks
+        for the others.
         """
         queries = list(queries)
         results: list[list[SearchHit]] = [[] for _ in queries]
@@ -602,7 +433,7 @@ class BM25Index:
         The postings of every (query, term) pair are gathered in query order,
         then term order; ``np.bincount`` then adds each (query, doc) key's
         impacts in that input order, starting from 0.0 in float64, which are
-        exactly the additions :meth:`search` makes in its score buffer.  A
+        exactly the additions the scalar :meth:`score` oracle makes.  A
         sparse block bincounts the sorted unique keys; a dense block bincounts
         a ``(queries, n_docs)`` matrix and keeps each row's scores tied with
         or above its k-th.  Keys are doc-id ranks, so candidates come out in
@@ -659,189 +490,10 @@ class BM25Index:
             cursor += count
 
 
-# --------------------------------------------------------------------------- #
-# character-n-gram embedding backend
-# --------------------------------------------------------------------------- #
-@register_backend
-class CharNGramIndex:
-    """Approximate retrieval over hashed character-n-gram embeddings.
-
-    Every document (and query) is embedded into a ``dim``-dimensional count
-    vector: each token contributes the buckets of its boundary-marked
-    character ``n``-grams plus one whole-token bucket, hashed with the
-    platform-independent CRC32.  Vectors are L2-normalised, so retrieval is
-    cosine similarity — a dense matrix-vector product against the compiled
-    embedding matrix.  Documents sharing no hashed n-gram with the query
-    score exactly 0 and are never returned, matching the inverted-index
-    contract that only overlapping documents are hits.
-
-    Compared to BM25's exact term matching this tolerates typos, inflections
-    and partial mentions; it exists primarily to prove the
-    :class:`RetrievalBackend` protocol supports a second, structurally
-    different engine, and shares the protocol's deterministic
-    ``(-score, doc_id)`` tie-break.
-    """
-
-    backend_name: ClassVar[str] = "char_ngram"
-
-    def __init__(self, n: int = 3, dim: int = 512,
-                 dtype: str | np.dtype = np.float32):
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        self.n = n
-        self.dim = dim
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("dtype must be float32 or float64")
-        self._texts: dict[str, str] = {}
-        self._frozen = False
-        self._compiled = False
-        self._doc_ids: list[str] = []
-        self._doc_id_set: frozenset[str] = frozenset()
-        self._doc_ranks: np.ndarray | None = None
-        self._matrix: np.ndarray | None = None  # (n_docs, dim), rows L2-normalised
-
-    # ------------------------------------------------------------------ #
-    def _buckets(self, text: str) -> np.ndarray:
-        """Hashed n-gram bucket indices of ``text`` (duplicates kept: counts)."""
-        buckets: list[int] = []
-        for token in basic_tokenize(text):
-            marked = f"#{token}#"
-            # Whole-token bucket keeps an exact-match signal even for tokens
-            # shorter than the n-gram width.
-            buckets.append(zlib.crc32(token.encode("utf-8")) % self.dim)
-            for i in range(len(marked) - self.n + 1):
-                gram = marked[i : i + self.n]
-                buckets.append(zlib.crc32(gram.encode("utf-8")) % self.dim)
-        return np.asarray(buckets, dtype=np.int64)
-
-    def _embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(self.dim, dtype=np.float64)
-        buckets = self._buckets(text)
-        if buckets.size:
-            np.add.at(vector, buckets, 1.0)
-            norm = np.linalg.norm(vector)
-            if norm > 0:
-                vector /= norm
-        return vector.astype(self.dtype, copy=False)
-
-    # ------------------------------------------------------------------ #
-    def add_document(self, doc_id: str, text: str) -> None:
-        """Index one document; re-adding an id raises ``ValueError``."""
-        if self._frozen:
-            raise RuntimeError(
-                "this index was restored from exported state and is query-only"
-            )
-        if doc_id in self._texts:
-            raise ValueError(f"document {doc_id!r} already indexed")
-        self._texts[doc_id] = text
-        self._compiled = False
-
-    @classmethod
-    def build(cls, documents: Iterable[tuple[str, str]], **kwargs) -> CharNGramIndex:
-        """Build an index from ``(doc_id, text)`` pairs."""
-        index = cls(**kwargs)
-        for doc_id, text in documents:
-            index.add_document(doc_id, text)
-        return index
-
-    def __len__(self) -> int:
-        if self._frozen:
-            return len(self._doc_ids)
-        return len(self._texts)
-
-    def __contains__(self, doc_id: str) -> bool:
-        if self._frozen:
-            return doc_id in self._doc_id_set
-        return doc_id in self._texts
-
-    @property
-    def is_finalized(self) -> bool:
-        return self._compiled
-
-    # ------------------------------------------------------------------ #
-    def finalize(self) -> None:
-        """Compile the embedding matrix (idempotent; invalidated by adds)."""
-        if self._compiled:
-            return
-        doc_ids = list(self._texts)
-        matrix = np.zeros((len(doc_ids), self.dim), dtype=self.dtype)
-        for row, doc_id in enumerate(doc_ids):
-            matrix[row] = self._embed(self._texts[doc_id])
-        self._doc_ids = doc_ids
-        self._doc_id_set = frozenset(doc_ids)
-        self._doc_ranks = _doc_ranks(doc_ids)
-        self._matrix = matrix
-        self._compiled = True
-
-    def export_state(self) -> dict[str, np.ndarray]:
-        """The compiled arrays as a flat dict (finalizes first if needed)."""
-        self.finalize()
-        return {
-            "doc_ids": _as_str_array(self._doc_ids),
-            "doc_ranks": self._doc_ranks,
-            "matrix": self._matrix,
-            "n": np.asarray(self.n),
-            "dim": np.asarray(self.dim),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> CharNGramIndex:
-        """Rebuild a query-only index from :meth:`export_state` output."""
-        matrix = np.asarray(state["matrix"])
-        index = cls(n=int(state["n"]), dim=int(state["dim"]), dtype=matrix.dtype)
-        index._doc_ids = [str(d) for d in state["doc_ids"]]
-        index._doc_id_set = frozenset(index._doc_ids)
-        index._doc_ranks = np.asarray(state["doc_ranks"], dtype=np.int64)
-        index._matrix = matrix
-        index._frozen = True
-        index._compiled = True
-        return index
-
-    def search(self, query: str, top_k: int = 10) -> list[SearchHit]:
-        """Return the ``top_k`` most cosine-similar documents for ``query``."""
-        if top_k <= 0:
-            return []
-        self.finalize()
-        if not self._doc_ids:
-            return []
-        query_vector = self._embed(query)
-        if not np.any(query_vector):
-            return []
-        scores = self._matrix.astype(np.float64, copy=False) @ query_vector.astype(
-            np.float64, copy=False
-        )
-        # BLAS may split the per-row dot products differently depending on row
-        # alignment, so even identical documents can disagree in the last ulp.
-        # Cosine scores live in [0, 1]; quantizing to 12 decimal digits
-        # collapses that summation noise without merging genuinely different
-        # similarities, which keeps the (-score, doc_id) tie-break exact.
-        scores = np.round(scores, 12)
-        candidates = np.nonzero(scores > 0.0)[0]
-        if candidates.size == 0:
-            return []
-        return _select_top_hits(
-            candidates, scores[candidates], self._doc_ranks, self._doc_ids, top_k
-        )
-
-    def search_batch(self, queries: Sequence[str], top_k: int = 10
-                     ) -> list[list[SearchHit]]:
-        """Search many queries; results align with ``queries``.
-
-        Delegates to :meth:`search` per query: a fused matrix-matrix product
-        would be faster but produces slightly different float sums than the
-        sequential path, and the protocol requires the two to agree exactly.
-        """
-        self.finalize()
-        return [self.search(query, top_k=top_k) for query in queries]
-
-
 def reference_search(index: BM25Index, query: str, top_k: int = 10) -> list[SearchHit]:
     """The seed scalar search: candidate set from postings, one ``score()`` per doc.
 
-    This is the oracle the vectorized :meth:`BM25Index.search` must match
+    This is the oracle the vectorized :meth:`BM25Index.search_batch` must match
     exactly; the parity tests and the retrieval benchmark baseline both use
     this single definition so the reference cannot drift.
     """

@@ -4,9 +4,9 @@ Given a table cell mention, the linker
 
 1. applies the named-entity schema detector: numbers and dates are never
    linked (their linking score is defined to be 0 by the paper);
-2. queries the retrieval backend (BM25 by default, Eq. 1–2) with the mention
-   text and returns up to ``max_candidates`` entities with their linking
-   scores ``ls_e``.
+2. queries the BM25 index (Eq. 1–2) with the mention text and returns up to
+   ``max_candidates`` entities with their linking scores ``ls_e``, as the
+   index's own :class:`~repro.kg.backends.SearchHit` records.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from repro.kg.backends import BM25Parameters, RetrievalBackend, create_backend
+from repro.kg.backends import BM25Index, BM25Parameters, SearchHit
 from repro.kg.graph import KnowledgeGraph
 from repro.text.ner import EntitySchema, detect_schema
 
-__all__ = ["EntityLink", "LinkerConfig", "LinkCacheInfo", "EntityLinker"]
+__all__ = ["LinkerConfig", "LinkCacheInfo", "EntityLinker"]
 
 # Bound of the linker's retrieval memo (distinct normalised mentions; a full
 # memo is cleared and refilled).
@@ -27,28 +27,18 @@ _LINK_MEMO_SIZE = 200_000
 
 
 @dataclass(frozen=True)
-class EntityLink:
-    """One candidate link between a cell mention and a KG entity."""
-
-    entity_id: str
-    score: float
-
-
-@dataclass(frozen=True)
 class LinkerConfig:
     """Configuration of the entity linker.
 
     ``max_candidates`` corresponds to the paper's "we retrieved up to 10
-    entities from the KG for each cell mention".  ``backend`` names the
-    registered :class:`~repro.kg.backends.RetrievalBackend` built over the
-    graph's entity documents when no pre-built index is supplied; ``bm25``
-    parameterises that backend when it is the BM25 one.
+    entities from the KG for each cell mention".  ``bm25`` parameterises the
+    index built over the graph's entity documents when no pre-built index is
+    supplied.
     """
 
     max_candidates: int = 10
     bm25: BM25Parameters = field(default_factory=BM25Parameters)
     link_numbers_and_dates: bool = False
-    backend: str = "bm25"
 
     def __post_init__(self) -> None:
         if self.max_candidates <= 0:
@@ -65,14 +55,14 @@ class LinkCacheInfo(NamedTuple):
 
 
 class EntityLinker:
-    """Link table cell mentions to candidate KG entities via ranked retrieval.
+    """Link table cell mentions to candidate KG entities via BM25 retrieval.
 
-    The linker talks to retrieval exclusively through the
-    :class:`~repro.kg.backends.RetrievalBackend` protocol.  Either pass a
-    pre-built ``index`` (any backend — this is how serving processes inject
+    Either pass a pre-built ``index`` (this is how serving processes inject
     an index restored from a bundle, and how several linkers share one
     index), or pass a ``graph`` whose entity documents are indexed into a
-    freshly created ``config.backend``.  Retrievals are memoised per
+    fresh :class:`~repro.kg.backends.BM25Index`.  Links are the index's
+    :class:`~repro.kg.backends.SearchHit` records (``doc_id`` is the entity
+    id, ``score`` its linking score).  Retrievals are memoised per
     normalised mention (a dict bounded by ``_LINK_MEMO_SIZE``, cleared when
     full), and :meth:`link_batch` sends every key the memo lacks to the
     index in one ``index.search_batch`` call.  Like the extractor's memos,
@@ -83,20 +73,19 @@ class EntityLinker:
 
     def __init__(self, graph: KnowledgeGraph | None = None,
                  config: LinkerConfig | None = None,
-                 index: RetrievalBackend | None = None):
+                 index: BM25Index | None = None):
         self.graph = graph
         self.config = config or LinkerConfig()
         if index is None:
             if graph is None:
                 raise ValueError("EntityLinker needs a graph or a pre-built index")
-            kwargs = {"parameters": self.config.bm25} if self.config.backend == "bm25" else {}
-            index = create_backend(self.config.backend, **kwargs)
+            index = BM25Index(self.config.bm25)
             for entity in graph.entities():
                 index.add_document(entity.entity_id, entity.document_text())
         self.index = index
         # Mentions repeat heavily inside a corpus (same cities, teams, people
         # across tables); memoising the raw retrieval is a large speed-up.
-        self._memo: dict[str, tuple[EntityLink, ...]] = {}
+        self._memo: dict[str, tuple[SearchHit, ...]] = {}
         self._hits = 0
         self._misses = 0
 
@@ -124,13 +113,13 @@ class EntityLinker:
                 return None
         return text.lower()
 
-    def link(self, mention: str) -> list[EntityLink]:
+    def link(self, mention: str) -> list[SearchHit]:
         """Return candidate entity links for ``mention`` (possibly empty)."""
         return self.link_batch([mention])[0]
 
     def link_batch(self, mentions: Sequence[str],
                    schemas: Sequence[EntitySchema] | None = None
-                   ) -> list[list[EntityLink]]:
+                   ) -> list[list[SearchHit]]:
         """Link many mentions at once; results align with ``mentions``.
 
         Mentions are normalised and deduplicated, and every distinct key the
@@ -149,7 +138,7 @@ class EntityLinker:
         # Answers are read into ``resolved`` before the memo is written, so a
         # memo cleared part-way through the batch loses none of them.
         memo = self._memo
-        resolved: dict[str, tuple[EntityLink, ...]] = {}
+        resolved: dict[str, tuple[SearchHit, ...]] = {}
         missing: list[str] = []
         for key in dict.fromkeys(keys):
             if key is None:
@@ -164,13 +153,12 @@ class EntityLinker:
         if missing:
             found = self.index.search_batch(missing, top_k=self.config.max_candidates)
             for key, hits in zip(missing, found, strict=True):
-                links = tuple([EntityLink(hit.doc_id, hit.score) for hit in hits])
                 if len(memo) >= _LINK_MEMO_SIZE:
                     memo.clear()
-                memo[key] = resolved[key] = links
+                memo[key] = resolved[key] = tuple(hits)
         return [list(resolved[key]) if key is not None else [] for key in keys]
 
-    def best_link(self, mention: str) -> EntityLink | None:
+    def best_link(self, mention: str) -> SearchHit | None:
         """The single highest-scoring link for ``mention``, if any."""
         links = self.link(mention)
         return links[0] if links else None

@@ -5,19 +5,21 @@ directory with a versioned manifest::
 
     bundle/
       manifest.json   format version, pipeline config, label vocabulary,
-                      tokenizer tokens, retrieval-backend name, linker
-                      config, artifact sizes and SHA-256s
+                      tokenizer tokens, index record, linker config,
+                      artifact sizes and SHA-256s
       model.npz       encoder + head weights (dtype-policy-stamped)
-      index.npz       the *compiled* retrieval index arrays (for BM25: CSR
-                      postings offsets, doc ids and precomputed impacts)
+      index.npz       the *compiled* BM25 index arrays (CSR postings
+                      offsets, doc ids and precomputed impacts)
       graph.json      the KG snapshot Part 1 queries (labels, schemas,
                       one-hop neighbourhoods with predicates)
 
 The index is stored as one copy of the compiled arrays, which a serving
-process restores as one in-process index.
+process restores as one in-process index.  The manifest's ``backend`` record
+(``{"name": "bm25", "documents": n}``) keeps the shape older readers expect;
+BM25 is the only engine, so any other name is a corrupt bundle.
 
 A bundle is independent of the knowledge graph: loading restores the
-retrieval backend from its exported arrays instead of re-indexing the graph,
+BM25 index from its exported arrays instead of re-indexing the graph,
 and ships a :class:`~repro.kg.snapshot.KGSnapshot` for the
 candidate-extraction queries — so
 :meth:`~repro.serve.service.AnnotationService.load` works on a machine that
@@ -39,7 +41,7 @@ import numpy as np
 from repro.core.annotator import KGLinkConfig
 from repro.core.errors import BundleCorrupted
 from repro.core.model import KGLinkModel
-from repro.kg.backends import BM25Parameters, RetrievalBackend, restore_backend
+from repro.kg.backends import BM25Index, BM25Parameters
 from repro.kg.linker import LinkerConfig
 from repro.kg.snapshot import KGSnapshot
 from repro.nn.serialization import load_state_dict, save_state_dict
@@ -68,6 +70,8 @@ MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "model.npz"
 INDEX_NAME = "index.npz"
 GRAPH_NAME = "graph.json"
+#: The ``backend`` name every bundle's index record carries.
+INDEX_ENGINE = "bm25"
 
 #: Every artifact the manifest's integrity record covers.
 ARTIFACT_NAMES = (WEIGHTS_NAME, INDEX_NAME, GRAPH_NAME)
@@ -80,7 +84,8 @@ REQUIRED_MANIFEST_KEYS = (
 
 #: Keys older writers put in the manifest that no longer mean anything.
 LEGACY_MANIFEST_KEYS = ("shard_plan", "runtime_policy")
-LEGACY_LINKER_KEYS = ("num_shards", "executor")
+#: ``backend`` named the retrieval engine while more than one existed.
+LEGACY_LINKER_KEYS = ("num_shards", "executor", "backend")
 #: The size of a Part-1 cache the annotator no longer keeps.
 LEGACY_CONFIG_KEYS = ("processed_cache_size",)
 
@@ -151,11 +156,10 @@ def _kglink_config(payload) -> KGLinkConfig:
                            if key not in LEGACY_CONFIG_KEYS})
 
 
-def _backend_name(payload) -> str:
+def _check_engine(payload) -> None:
     name = _object(payload)["name"]
-    if not isinstance(name, str):
-        raise TypeError("backend name must be a string")
-    return name
+    if name != INDEX_ENGINE:
+        raise ValueError(f"unknown retrieval engine {name!r} (only {INDEX_ENGINE!r})")
 
 
 def _linker_config(payload) -> LinkerConfig:
@@ -220,8 +224,7 @@ class ServiceBundle:
     label_vocabulary: list[str]
     tokenizer: WordPieceTokenizer
     model: KGLinkModel
-    backend: RetrievalBackend
-    backend_name: str
+    backend: BM25Index
     graph_view: KGSnapshot
     linker_config: LinkerConfig = field(default_factory=LinkerConfig)
     metadata: dict = field(default_factory=dict)
@@ -234,19 +237,12 @@ class ServiceBundle:
             raise RuntimeError("only fitted annotators can be bundled")
         backend = annotator.linker.index
         backend.finalize()
-        backend_name = getattr(type(backend), "backend_name", None)
-        if not backend_name:
-            raise ValueError(
-                f"retrieval backend {type(backend).__name__} has no backend_name; "
-                "register it with repro.kg.backends.register_backend"
-            )
         return cls(
             config=annotator.config,
             label_vocabulary=list(annotator.label_vocabulary),
             tokenizer=annotator.tokenizer,
             model=annotator.model,
             backend=backend,
-            backend_name=backend_name,
             graph_view=KGSnapshot.from_graph(annotator.graph),
             # The linker's own config, not a reconstruction from KGLinkConfig:
             # a custom linker (deeper retrieval, number/date linking on) must
@@ -273,7 +269,7 @@ class ServiceBundle:
             "config": dataclasses.asdict(self.config),
             "label_vocabulary": self.label_vocabulary,
             "tokenizer_tokens": list(self.tokenizer.vocabulary),
-            "backend": {"name": self.backend_name, "documents": len(self.backend)},
+            "backend": {"name": INDEX_ENGINE, "documents": len(self.backend)},
             "linker_config": dataclasses.asdict(self.linker_config),
             "artifacts": {
                 name: {
@@ -325,7 +321,7 @@ class ServiceBundle:
         label_vocabulary = _manifest_field(directory, manifest, "label_vocabulary",
                                            _string_list)
         tokens = _manifest_field(directory, manifest, "tokenizer_tokens", _string_list)
-        backend_name = _manifest_field(directory, manifest, "backend", _backend_name)
+        _manifest_field(directory, manifest, "backend", _check_engine)
         linker_config = _manifest_field(directory, manifest, "linker_config",
                                         _linker_config)
         recorded = _manifest_field(directory, manifest, "artifacts", _artifact_record)
@@ -357,11 +353,11 @@ class ServiceBundle:
                 f"{INDEX_NAME} in {directory} failed to parse: {error}"
             ) from error
         try:
-            backend = restore_backend(backend_name, state)
+            backend = BM25Index.from_state(state)
         except (KeyError, TypeError, ValueError) as error:
             raise BundleCorrupted(
-                f"{INDEX_NAME} in {directory} does not restore as a "
-                f"{backend_name!r} backend: {error}"
+                f"{INDEX_NAME} in {directory} does not restore as a BM25 index: "
+                f"{error}"
             ) from error
 
         try:
@@ -384,7 +380,6 @@ class ServiceBundle:
             tokenizer=tokenizer,
             model=model,
             backend=backend,
-            backend_name=backend_name,
             graph_view=graph_view,
             linker_config=linker_config,
             metadata=metadata,

@@ -4,9 +4,11 @@
 into the existing inference machinery:
 
 * Part-1 candidate extraction runs against the bundled
-  :class:`~repro.kg.snapshot.KGSnapshot` and the restored retrieval backend —
-  no :class:`~repro.kg.graph.KnowledgeGraph` object exists in a serving
-  process.  Each cell mention is one search of that single in-process index;
+  :class:`~repro.kg.snapshot.KGSnapshot` and the restored BM25 index — no
+  :class:`~repro.kg.graph.KnowledgeGraph` object exists in a serving
+  process.  Part 1 runs per chunk of tables: the cell mentions of a chunk
+  that the linker has not seen are scored in one batched search of that
+  single in-process index;
 * Part-2 inference micro-batches tables through the length-bucketed
   :meth:`~repro.core.trainer.KGLinkTrainer.predict` path under ``no_grad``;
 * the Part-1 prepare stage (candidate extraction + serialisation) runs
@@ -177,8 +179,8 @@ class AnnotationService:
         self._lifecycle = threading.Condition()
         self._closed = False  # guarded-by: _lifecycle
         self._inflight = 0  # guarded-by: _lifecycle
-        # Part-1 state (the retrieval backend's shared score buffer, the
-        # extractor's caches) is not thread-safe; Part-2 shares model state.
+        # Part-1 state (the linker's and the extractor's memos) is not
+        # thread-safe; Part-2 shares model state.
         # The two locks serialize the respective stages so annotate()/
         # annotate_batch() are safe from any number of caller threads.
         self._prepare_lock = threading.Lock()
@@ -201,7 +203,7 @@ class AnnotationService:
         """Start a service from a saved bundle directory.
 
         No knowledge graph is constructed and no index is rebuilt: the
-        retrieval backend is restored from its compiled arrays and Part 1
+        BM25 index is restored from its compiled arrays and Part 1
         queries the bundled graph snapshot.
         """
         return cls(ServiceBundle.load(directory), max_batch=max_batch,

@@ -34,7 +34,7 @@ def oracle_overlap_filter(graph, linked: list[list[CellLinkage]]) -> None:
         for cell in row:
             neighborhood: set[str] = set()
             for link in cell.raw_links:
-                neighborhood.update(graph.one_hop_neighbors(link.entity_id))
+                neighborhood.update(graph.one_hop_neighbors(link.doc_id))
             column_neighborhoods.append(neighborhood)
         for col_index, cell in enumerate(row):
             if not cell.raw_links:
@@ -51,16 +51,16 @@ def oracle_overlap_filter(graph, linked: list[list[CellLinkage]]) -> None:
             for link in cell.raw_links:
                 overlap = sum(
                     1 for neighborhood in other_neighborhoods
-                    if link.entity_id in neighborhood
+                    if link.doc_id in neighborhood
                 )
                 if overlap > 0:
-                    scores_by_entity[link.entity_id] = float(overlap)
+                    scores_by_entity[link.doc_id] = float(overlap)
                     best_pruned_score = max(best_pruned_score, link.score)
             if scores_by_entity:
                 cell.candidate_entities = scores_by_entity
                 cell.linking_score = best_pruned_score
             else:
-                cell.candidate_entities = {link.entity_id: 0.0 for link in cell.raw_links}
+                cell.candidate_entities = {link.doc_id: 0.0 for link in cell.raw_links}
                 cell.linking_score = 0.0
 
 

@@ -1,11 +1,11 @@
-"""Shared conformance suite for the pluggable retrieval backends.
+"""Conformance suite for the BM25 retrieval index, in both postings dtypes.
 
-Every registered :class:`~repro.kg.backends.RetrievalBackend` implementation
-must satisfy the same observable contract: deterministic ``(-score, doc_id)``
-ranking, positive-score hits only, batch/sequential agreement, and a
-compiled-state round trip that serves identical results without the original
-documents.  The suite is parametrised over backend factories so a future
-third backend only needs to add itself to ``BACKEND_FACTORIES``.
+:class:`~repro.kg.backends.BM25Index` must satisfy one observable contract
+whether its impacts are float32 (the default) or float64: deterministic
+``(-score, doc_id)`` ranking, positive-score hits only, batch/one-query
+agreement, and a compiled-state round trip that serves identical results
+without the original documents.  The suite is parametrised over the two
+dtype factories in ``INDEX_FACTORIES``.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kg.backends import (
-    BM25Index,
-    CharNGramIndex,
-    RetrievalBackend,
-    create_backend,
-    backend_from_documents,
-    reference_search,
-    restore_backend,
-)
+from repro.kg.backends import BM25Index, reference_search
 
 DOCUMENTS = [
     ("e01", "alpha beta gamma"),
@@ -34,30 +26,21 @@ DOCUMENTS = [
     ("e08", "iota kappa"),
 ]
 
-BACKEND_FACTORIES = {
+INDEX_FACTORIES = {
     "bm25": lambda: BM25Index(),  # float32 postings default
     "bm25_f64": lambda: BM25Index(dtype=np.float64),
-    "char_ngram": lambda: CharNGramIndex(),
-    "char_ngram_f64": lambda: CharNGramIndex(dtype=np.float64),
 }
 
 
-@pytest.fixture(params=sorted(BACKEND_FACTORIES))
+@pytest.fixture(params=sorted(INDEX_FACTORIES))
 def backend(request):
-    index = BACKEND_FACTORIES[request.param]()
+    index = INDEX_FACTORIES[request.param]()
     for doc_id, text in DOCUMENTS:
         index.add_document(doc_id, text)
     return index
 
 
 class TestConformance:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, RetrievalBackend)
-
-    def test_registered_name_round_trips(self, backend):
-        name = type(backend).backend_name
-        assert type(create_backend(name)) is type(backend)
-
     def test_len_and_contains(self, backend):
         assert len(backend) == len(DOCUMENTS)
         assert "e01" in backend
@@ -105,7 +88,7 @@ class TestConformance:
     def test_exact_ties_break_by_doc_id(self):
         # Fresh index per factory: identical documents must tie exactly and
         # come back in doc-id order regardless of insertion order.
-        for name, factory in BACKEND_FACTORIES.items():
+        for name, factory in INDEX_FACTORIES.items():
             index = factory()
             for doc_id in ("b", "c", "a"):
                 index.add_document(doc_id, "same exact text")
@@ -117,14 +100,14 @@ class TestConformance:
         # More exact ties than top_k: every document tied with the k-th score
         # must compete, so the cut keeps the smallest ids whatever the
         # insertion order — on a built index and on one restored from state.
-        for name, factory in BACKEND_FACTORIES.items():
+        for name, factory in INDEX_FACTORIES.items():
             index = factory()
             for doc_id in ("f", "b", "d", "a", "e", "c"):
                 index.add_document(doc_id, "same exact text")
             hits = index.search("same exact text", top_k=4)
             assert [hit.doc_id for hit in hits] == ["a", "b", "c", "d"], name
             assert len({hit.score for hit in hits}) == 1, name
-            restored = restore_backend(index.backend_name, index.export_state())
+            restored = BM25Index.from_state(index.export_state())
             assert restored.search("same exact text", top_k=4) == hits, name
 
     def test_search_batch_matches_sequential(self, backend):
@@ -136,14 +119,14 @@ class TestConformance:
         queries = ["alpha", "beta gamma delta", "gamma", "iota kappa"]
         expected = backend.search_batch(queries, top_k=5)
         state = backend.export_state()
-        restored = restore_backend(type(backend).backend_name, state)
+        restored = BM25Index.from_state(state)
         assert len(restored) == len(backend)
         assert "e01" in restored
         assert restored.is_finalized
         assert restored.search_batch(queries, top_k=5) == expected
 
     def test_restored_backend_is_query_only(self, backend):
-        restored = restore_backend(type(backend).backend_name, backend.export_state())
+        restored = BM25Index.from_state(backend.export_state())
         with pytest.raises(RuntimeError):
             restored.add_document("e99", "text")
 
@@ -165,39 +148,6 @@ class TestConformance:
         for key, value in state.items():
             assert isinstance(key, str)
             assert isinstance(value, np.ndarray), key
-
-
-class TestRegistry:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            create_backend("no-such-backend")
-        with pytest.raises(ValueError):
-            restore_backend("no-such-backend", {})
-
-    def test_backend_from_documents_builds_finalized(self):
-        backend = backend_from_documents(DOCUMENTS, "char_ngram")
-        assert backend.is_finalized
-        assert len(backend) == len(DOCUMENTS)
-
-
-class TestCharNGram:
-    def test_typo_tolerance(self):
-        index = CharNGramIndex()
-        for doc_id, text in DOCUMENTS:
-            index.add_document(doc_id, text)
-        # "gamm" shares most character n-grams with "gamma"; BM25 would
-        # find nothing for this query, the n-gram backend must.
-        hits = index.search("gamm", top_k=3)
-        assert hits
-        assert hits[0].doc_id == "e05"
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            CharNGramIndex(n=1)
-        with pytest.raises(ValueError):
-            CharNGramIndex(dim=0)
-        with pytest.raises(ValueError):
-            CharNGramIndex(dtype=np.int32)
 
 
 class TestBM25Dtype:

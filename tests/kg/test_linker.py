@@ -37,11 +37,11 @@ class TestLinkerConfig:
 class TestLinking:
     def test_exact_mention_links_to_entity(self, small_linker):
         links = small_linker.link("Peter Steele")
-        assert links and links[0].entity_id == "Q1"
+        assert links and links[0].doc_id == "Q1"
 
     def test_ambiguous_mention_returns_multiple(self, small_linker):
         links = small_linker.link("Peter")
-        assert {link.entity_id for link in links} >= {"Q1", "Q2"}
+        assert {link.doc_id for link in links} >= {"Q1", "Q2"}
 
     def test_numbers_never_linked(self, small_linker):
         assert small_linker.link("1234") == []
@@ -76,7 +76,7 @@ class TestLinking:
 class TestScores:
     def test_best_link_is_first(self, small_linker):
         best = small_linker.best_link("Riverton Tigers")
-        assert best is not None and best.entity_id == "Q3"
+        assert best is not None and best.doc_id == "Q3"
 
     def test_best_link_none_for_numbers(self, small_linker):
         assert small_linker.best_link("42") is None
@@ -208,7 +208,7 @@ class TestAgainstSyntheticWorld:
         for entity_id in people:
             label = world.graph.entity(entity_id).label
             best = linker.best_link(label)
-            if best is not None and best.entity_id == entity_id:
+            if best is not None and best.doc_id == entity_id:
                 hits += 1
         assert hits >= len(people) * 0.7
 

@@ -136,15 +136,33 @@ class TestBundleValidation:
         (clone / "manifest.json").write_text(json.dumps(manifest))
         assert ServiceBundle.load(clone).backend.is_finalized
 
+    def test_linker_config_naming_the_engine_still_loads(self, bundle_dir,
+                                                        serve_tables, tmp_path):
+        # Bundles written while the retrieval engine was selectable carry
+        # ``"backend": "bm25"`` in their linker config; BM25 is the only
+        # engine, so the key is dropped and the bundle answers unchanged.
+        expected = AnnotationService.load(bundle_dir).annotate_batch(serve_tables)
+        clone = _clone_bundle(bundle_dir, tmp_path / "engine-key")
+        manifest = json.loads((clone / "manifest.json").read_text())
+        assert "backend" not in manifest["linker_config"]
+        assert manifest["backend"]["name"] == "bm25"
+        manifest["linker_config"]["backend"] = "bm25"
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+        bundle = ServiceBundle.load(clone)
+        assert bundle.linker_config == ServiceBundle.load(bundle_dir).linker_config
+        with AnnotationService(bundle) as service:
+            assert service.annotate_batch(serve_tables) == expected
+
     @pytest.mark.parametrize("field, corrupt", [
         ("config", lambda m: m["config"].update(no_such_knob=1)),
         ("linker_config", lambda m: m.update(linker_config="bm25")),
         ("linker_config", lambda m: m["linker_config"].pop("bm25")),
         ("backend", lambda m: m.update(backend="bm25")),
+        ("backend", lambda m: m["backend"].update(name="char_ngram")),
         ("artifacts", lambda m: m.update(artifacts=["model.npz"])),
         ("label_vocabulary", lambda m: m.update(label_vocabulary=7)),
     ], ids=["config-unknown-key", "linker-config-not-object",
-            "linker-config-without-bm25", "backend-string",
+            "linker-config-without-bm25", "backend-string", "backend-unknown-engine",
             "artifacts-list", "label-vocabulary-int"])
     def test_malformed_manifest_field_is_typed_and_named(self, bundle_dir,
                                                         tmp_path, field,

@@ -195,29 +195,6 @@ class TestAnnotationService:
         assert zeroed.cache_hits == 0 and zeroed.cache_misses == 0
 
 
-class TestCharNGramServing:
-    def test_bundle_round_trip_with_second_backend(self, graph, semtab_splits,
-                                                   tmp_path):
-        from repro.kg.linker import EntityLinker, LinkerConfig
-
-        train = TableCorpus("train", semtab_splits.train.tables[:8],
-                            semtab_splits.train.label_vocabulary)
-        linker = EntityLinker(
-            graph, LinkerConfig(max_candidates=8, backend="char_ngram")
-        )
-        annotator = KGLinkAnnotator(graph, TINY_CONFIG, linker=linker)
-        annotator.fit(train)
-        tables = semtab_splits.test.tables[:3]
-        expected = [annotator.annotate(table) for table in tables]
-
-        directory = ServiceBundle.from_annotator(annotator).save(tmp_path / "svc")
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["backend"]["name"] == "char_ngram"
-        service = AnnotationService.load(directory)
-        _assert_no_knowledge_graph(service)
-        assert service.annotate_batch(tables) == expected
-
-
 def _clone_bundle(bundle_dir, target):
     target.mkdir()
     for item in bundle_dir.iterdir():
