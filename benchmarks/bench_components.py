@@ -2,8 +2,9 @@
 
 These measure the building blocks whose cost dominates the end-to-end
 pipeline: BM25 retrieval, cell linking, Part 1 candidate-type extraction, the
-MiniBERT forward pass and one fine-tuning step.  They complement the
-experiment-level benchmarks with stable, repeatable component timings.
+MiniBERT forward pass, one fine-tuning step and loading a serving bundle.
+They complement the experiment-level benchmarks with stable, repeatable
+component timings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.nn.optim import AdamW
 from repro.nn.tensor import Tensor, no_grad
 from repro.plm.config import PLMConfig
 from repro.plm.model import MiniBERT
+from repro.serve import ServiceBundle
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,13 @@ def test_service_annotate_batch(benchmark, serving):
     service, tables = serving
     results = benchmark(lambda: service.annotate_batch(tables))
     assert len(results) == len(tables)
+
+
+def test_bundle_load(benchmark, serving, tmp_path):
+    service, _ = serving
+    directory = service.save(tmp_path / "bundle")
+    bundle = benchmark(lambda: ServiceBundle.load(directory))
+    assert bundle.label_vocabulary == service.bundle.label_vocabulary
 
 
 def test_training_step(benchmark):

@@ -12,7 +12,8 @@ provides exactly what the paper's deep-learning component needs:
   layer norm, dropout, cross entropy, ...).
 * :mod:`~repro.nn.layers` — ``Module`` and the standard layers used by the
   transformer encoders (``Linear``, ``Embedding``, ``LayerNorm``,
-  ``MultiHeadSelfAttention``, ``TransformerEncoderLayer``).
+  ``MultiHeadSelfAttention``, ``TransformerEncoderLayer``) and ``skip_init``,
+  which builds them without drawing weights a load will overwrite.
 * :mod:`~repro.nn.optim` — ``AdamW`` with linear learning-rate decay, matching
   the optimiser settings in the paper's experimental section.
 * :mod:`~repro.nn.losses` — cross entropy, the DMLM distillation loss and the
@@ -45,6 +46,7 @@ from repro.nn.layers import (
     Parameter,
     Sequential,
     TransformerEncoderLayer,
+    skip_init,
 )
 from repro.nn.losses import (
     CrossEntropyLoss,
@@ -77,6 +79,7 @@ __all__ = [
     "Dropout",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
+    "skip_init",
     "CrossEntropyLoss",
     "DMLMLoss",
     "UncertaintyWeightedLoss",

@@ -4,18 +4,25 @@ The module system mirrors the familiar PyTorch API closely enough that the
 model code in :mod:`repro.plm` and :mod:`repro.core` reads naturally:
 ``Module`` tracks parameters and sub-modules recursively, supports
 ``state_dict`` / ``load_state_dict`` and a ``train()`` / ``eval()`` switch.
+
+Inside :func:`skip_init` the layers allocate zero-filled weights instead of
+drawing their random initialisation, for models whose every parameter is
+about to be overwritten by ``load_state_dict`` (a serving bundle's load).
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, get_dtype_policy, is_grad_enabled
 
 __all__ = [
+    "skip_init",
     "Parameter",
     "Module",
     "ModuleList",
@@ -27,6 +34,42 @@ __all__ = [
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
 ]
+
+
+# Thread-local like ``no_grad``'s grad mode: a thread loading a bundle must
+# not hand zero weights to a model another thread is building for training.
+class _InitMode(threading.local):
+    skip = False
+
+
+_INIT_MODE = _InitMode()
+
+
+@contextlib.contextmanager
+def skip_init():
+    """Build modules with zero-filled weights and no random draws.
+
+    ``Linear``, ``Embedding`` and ``MultiHeadSelfAttention`` constructed in
+    the block take zero-filled weights and never call ``rng.normal``, so
+    building a model costs little more than its allocations.  Use it only
+    for a model that ``load_state_dict`` fills next; that call rejects a
+    state dict missing any parameter, so no zero placeholder can reach a
+    prediction.  Per-thread: a model built on another thread meanwhile
+    draws its usual seeded weights.
+    """
+    previous = _INIT_MODE.skip
+    _INIT_MODE.skip = True
+    try:
+        yield
+    finally:
+        _INIT_MODE.skip = previous
+
+
+def _normal(rng: np.random.Generator, scale: float, shape: tuple[int, ...]) -> np.ndarray:
+    """``rng.normal(0, scale, shape)``, or zeros (no draw) inside :func:`skip_init`."""
+    if _INIT_MODE.skip:
+        return np.zeros(shape, dtype=get_dtype_policy().compute)
+    return rng.normal(0.0, scale, size=shape)
 
 
 class Parameter(Tensor):
@@ -198,7 +241,7 @@ class Linear(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / (in_features + out_features))
-        self.weight = Parameter(rng.normal(0.0, scale, size=(out_features, in_features)))
+        self.weight = Parameter(_normal(rng, scale, (out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         self.in_features = in_features
         self.out_features = out_features
@@ -224,7 +267,7 @@ class Embedding(Module):
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim)))
+        self.weight = Parameter(_normal(rng, 0.02, (num_embeddings, embedding_dim)))
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
 
@@ -308,7 +351,7 @@ class MultiHeadSelfAttention(Module):
         # identical to the previous layout.
         scale = np.sqrt(2.0 / (hidden_size + hidden_size))
         packed = np.concatenate(
-            [rng.normal(0.0, scale, size=(hidden_size, hidden_size)) for _ in range(3)],
+            [_normal(rng, scale, (hidden_size, hidden_size)) for _ in range(3)],
             axis=0,
         )
         self.qkv = Linear._from_weights(packed, np.zeros(3 * hidden_size))

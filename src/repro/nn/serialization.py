@@ -1,4 +1,9 @@
-"""Save and load model weights as compressed ``.npz`` archives.
+"""Save and load model weights as stored (uncompressed) ``.npz`` archives.
+
+Float weights barely deflate (7% on a trained KGLink model) while inflating
+them on every load is most of the read, so archives are written stored.
+:func:`load_state_dict` reads stored and deflated archives alike, so
+checkpoints written compressed by earlier versions still load.
 
 Checkpoints record the dtype policy they were written under in a reserved
 ``__repro_meta__.*`` namespace (array names cannot collide with parameter
@@ -23,14 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.layers import Module
 from repro.nn.tensor import get_dtype_policy
 
 __all__ = [
     "save_state_dict",
     "load_state_dict",
-    "save_module",
-    "load_module",
     "checkpoint_metadata",
 ]
 
@@ -67,7 +69,7 @@ def save_state_dict(state: dict[str, np.ndarray], path: str | os.PathLike) -> Pa
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **state, **meta)
+    np.savez(path, **state, **meta)
     # numpy appends .npz if it is missing; normalise the returned path.
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
@@ -124,18 +126,3 @@ def load_state_dict(path: str | os.PathLike, cast=None) -> dict[str, np.ndarray]
         key: value.astype(target) if np.issubdtype(value.dtype, np.floating) else value
         for key, value in state.items()
     }
-
-
-def save_module(module: Module, path: str | os.PathLike) -> Path:
-    """Persist a module's parameters to disk."""
-    return save_state_dict(module.state_dict(), path)
-
-
-def load_module(module: Module, path: str | os.PathLike) -> Module:
-    """Load parameters into an already-constructed module and return it.
-
-    Cross-policy loads are handled by ``Module.load_state_dict``, which casts
-    every array to the dtype of the parameter it feeds.
-    """
-    module.load_state_dict(load_state_dict(path))
-    return module

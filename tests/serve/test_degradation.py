@@ -74,6 +74,21 @@ class TestBundleValidation:
         with pytest.raises(BundleCorrupted, match="model.npz"):
             ServiceBundle.load(clone)
 
+    @pytest.mark.parametrize("name", ["model.npz", "index.npz"])
+    def test_truncated_archive_without_integrity_record_named(self, bundle_dir,
+                                                              tmp_path, name):
+        # Format 2 has no integrity record, so no size check catches the
+        # truncation: the archive's own parse must fail typed and named.
+        clone = _clone_bundle(bundle_dir, tmp_path / "truncated-v2")
+        manifest = json.loads((clone / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        del manifest["artifacts"]
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+        archive = clone / name
+        archive.write_bytes(archive.read_bytes()[: archive.stat().st_size // 2])
+        with pytest.raises(BundleCorrupted, match=name):
+            ServiceBundle.load(clone)
+
     def test_flipped_byte_fails_the_checksum(self, bundle_dir, tmp_path):
         clone = _clone_bundle(bundle_dir, tmp_path / "flipped")
         index = clone / "index.npz"

@@ -8,8 +8,11 @@ The central guarantee: a bundle saved from a fitted annotator serves
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.core.annotator import KGLinkAnnotator, KGLinkConfig
@@ -250,6 +253,41 @@ class TestBundleCompatibility:
             )
         assert "shard_plan" not in resaved
         assert "runtime_policy" not in resaved
+
+    def test_archives_are_written_stored(self, bundle_dir):
+        for name in ("model.npz", "index.npz"):
+            with zipfile.ZipFile(bundle_dir / name) as archive:
+                kinds = {info.compress_type for info in archive.infolist()}
+            assert kinds == {zipfile.ZIP_STORED}, name
+
+    def test_deflated_archives_load_unchanged(self, bundle_dir, serve_tables,
+                                              tmp_path):
+        # Every bundle written before the archives were stored has both
+        # archives deflated (np.savez_compressed); they load and answer
+        # bitwise-identically to the stored original.
+        original = ServiceBundle.load(bundle_dir)
+        expected = AnnotationService(original).annotate_batch(serve_tables)
+        clone, manifest = _clone_bundle(bundle_dir, tmp_path / "deflated")
+        for name in ("model.npz", "index.npz"):
+            with np.load(clone / name) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            np.savez_compressed(clone / name, **arrays)
+            with zipfile.ZipFile(clone / name) as archive:
+                assert {info.compress_type for info in archive.infolist()} == {
+                    zipfile.ZIP_DEFLATED}
+            data = (clone / name).read_bytes()
+            manifest["artifacts"][name] = {
+                "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+            }
+        (clone / "manifest.json").write_text(json.dumps(manifest))
+
+        bundle = ServiceBundle.load(clone)
+        loaded = bundle.model.state_dict()
+        for name, value in original.model.state_dict().items():
+            assert loaded[name].dtype == value.dtype
+            assert np.array_equal(loaded[name], value), name
+        with AnnotationService(bundle) as service:
+            assert service.annotate_batch(serve_tables) == expected
 
     def test_manifest_with_processed_cache_size_loads(self, bundle_dir,
                                                       serve_tables, tmp_path):
