@@ -20,7 +20,8 @@ The serving-first flow introduced by ``repro.serve``:
    the same bundle behind one gateway — a supervisor keeps them alive, a
    router picks the least-loaded replica per batch, and a shared results
    cache answers repeat tables from router memory (the second pass of the
-   same traffic never touches a replica);
+   same traffic never touches a replica, and the gateway answers it on its
+   event loop without a micro-batch);
 8. operate under failure: script a deterministic replica fault with
    ``FaultPlan`` / ``FaultyEndpoint`` on the same fleet's wire and watch
    the router fail the batch over to the other replica — the answers stay
@@ -265,6 +266,9 @@ async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
               f"{cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses"
               f" / {cache.get('coalesced', 0)} coalesced — the warm pass "
               "was answered from router memory")
+        door = gateway.stats()["answered_from_cache"]
+        print(f"   gateway door: {door} all-hit requests answered on the "
+              "event loop, with no micro-batch or executor thread")
         fleet = stats.supervisor
         print(f"   supervisor: spawned={fleet.get('spawned', 0)} "
               f"up={fleet.get('up', 0)} restarts={fleet.get('restarts', 0)} "

@@ -12,8 +12,12 @@ Both call :meth:`SharedResultsCache.resolve`: finished values sit in an LRU
 (a hit refreshes recency), and concurrent misses for one key collapse to a
 single *lead* computation that later callers *join* (single-flight).  A
 failed lead hands its error to the joiners and clears the flight, so the
-next request for that key leads afresh.  Every operation holds the cache's
-own lock, so counters and recency order stay consistent across threads.
+next request for that key leads afresh.  The router also calls
+:meth:`SharedResultsCache.lookup`, which never blocks: it answers a batch
+only when every table is already stored, so the gateway can serve an
+all-hit request on its event loop; anything else still goes to ``resolve``.
+Every operation holds the cache's own lock, so counters and recency order
+stay consistent across threads.
 """
 
 from __future__ import annotations
@@ -134,6 +138,25 @@ class SharedResultsCache:
             if self._flights.get(key) is flight:
                 del self._flights[key]
         flight.fail(error)
+
+    def lookup(self, tables: Sequence[Any]) -> list | None:
+        """Every table's stored value, aligned with ``tables``, or ``None``.
+
+        Never blocks and never leads: when every key is stored, each distinct
+        key counts one hit and refreshes its recency, as in :meth:`resolve`.
+        Otherwise — any miss, or a key only in flight — nothing is counted
+        and ``None`` leaves the whole batch to :meth:`resolve`.
+        """
+        keys = [table_key(table) for table in tables]
+        with self._lock:
+            values = [self._store.get(key, _MISSING) for key in keys]
+            if any(value is _MISSING for value in values):
+                return None
+            distinct = dict.fromkeys(keys)
+            for key in distinct:
+                self._store.move_to_end(key)
+            self._hits += len(distinct)
+        return values
 
     def resolve(self, tables: Sequence[Any],
                 compute: Callable[[list[Any]], Sequence[Any]], *,

@@ -1,11 +1,13 @@
 """The fleet router: one service-shaped front door over N replicas.
 
-:class:`FleetRouter` satisfies exactly the duck type the gateway serves —
+:class:`FleetRouter` satisfies the duck type the gateway serves —
 ``annotate_batch(tables, budget_s=...)``, ``stats()`` / ``health()``
 (objects with ``to_dict()``), ``close()``, ``max_batch`` — so it drops into
 :class:`~repro.gateway.app.Gateway` where a single in-process
-:class:`~repro.serve.service.AnnotationService` normally sits.  Behind that
-surface:
+:class:`~repro.serve.service.AnnotationService` normally sits.  It adds the
+seat's one optional method, ``cached(tables)``: the answer when every table
+is already in the results cache, else ``None``, without blocking, so the
+gateway answers all-hit requests on its event loop.  Behind that surface:
 
 * **least-outstanding routing** — each batch goes to the live replica with
   the fewest requests currently in flight (ties break by slot order), so a
@@ -144,7 +146,8 @@ class FleetRouter:
     """Route ``annotate_batch`` calls across a supervised replica fleet.
 
     Thread-safe: the gateway's micro-batcher calls ``annotate_batch`` from
-    worker threads while the event loop reads ``stats()`` / ``health()``.
+    worker threads while the event loop calls ``cached()`` and reads
+    ``stats()`` / ``health()``; each takes only short-held locks.
     ``endpoint_factory(name, address)`` is injectable so tests can wrap the
     real :class:`~repro.fleet.wire.ReplicaClient` in a
     :class:`~repro.runtime.faults.FaultyEndpoint` and script wire failures
@@ -265,6 +268,25 @@ class FleetRouter:
                 tables, lambda leads: self._dispatch(leads, deadline_s),
                 deadline_s=deadline_s, clock=self._clock,
             )
+
+    def cached(self, tables: Sequence[Any]) -> list | None:
+        """The predictions for ``tables`` if every one is cached, else ``None``.
+
+        Never blocks (:meth:`~repro.core.cache.SharedResultsCache.lookup`
+        plus the router's counter lock), so the gateway calls it on its event
+        loop.  An answer counts as a request, like :meth:`annotate_batch`;
+        ``None`` — a closed router, any miss or in-flight key — counts
+        nothing and leaves the batch to :meth:`annotate_batch`.
+        """
+        with self._lifecycle:
+            if self._closed:
+                return None
+        values = self.cache.lookup(tables)
+        if values is not None:
+            with self._lock:
+                self._requests += 1
+                self._tables += len(tables)
+        return values
 
     def _dispatch(self, tables: Sequence[Any], deadline_s: float) -> list:
         """Send one sub-batch to the best replica, failing over on death."""

@@ -8,7 +8,9 @@ made *failure* one.  The pieces, front to back:
   requests with the stdlib-only :mod:`repro.gateway.http` layer;
 * ``POST /annotate`` requests get a :class:`~repro.gateway.admission.Deadline`
   (``X-Deadline-Ms`` header, else the configured default, else the seat's
-  policy ``timeout_s`` when it has one) and enter the bounded
+  policy ``timeout_s`` when it has one); a seat with ``cached`` (the fleet
+  router) answers a request whose every table is in its results cache right
+  there on the event loop; the rest enter the bounded
   :class:`~repro.gateway.admission.AdmissionQueue` — or are shed
   oldest-deadline-first with a typed 503 + ``Retry-After``;
 * the :class:`~repro.gateway.batcher.MicroBatcher` coalesces queued requests
@@ -80,7 +82,7 @@ _COUNTER_METRICS = frozenset({
     "requests", "completed", "errors", "rejected_draining",
     "expired_at_admission", "expired_in_flight", "admitted",
     "shed_queue_full", "shed_expired", "batches", "batched_tables",
-    "batch_errors",
+    "batch_errors", "answered_from_cache",
     # AnnotationService
     "tables", "part1_seconds", "encode_seconds", "useful_tokens",
     "padded_tokens", "cache_hits", "cache_misses", "retries", "fallbacks",
@@ -161,6 +163,7 @@ class _GatewayCounters:
     rejected_draining: int = 0
     expired_at_admission: int = 0
     expired_in_flight: int = 0
+    answered_from_cache: int = 0  # of completed: all hits, no batch
     started_at: float = field(default_factory=time.monotonic)
 
 
@@ -171,7 +174,11 @@ class Gateway:
     ``annotate_batch(tables, budget_s=...)``, ``stats()``, ``health()`` and
     ``close()`` — which is exactly
     :class:`~repro.serve.service.AnnotationService`, but also lets tests
-    stand in a scripted fake.
+    stand in a scripted fake.  An optional non-blocking ``cached(tables)``
+    (:meth:`~repro.fleet.router.FleetRouter.cached`) returns the predictions
+    when every table is already cached, else ``None``; the gateway calls it
+    on the event loop before admission, so an all-hit request skips the
+    queue, the batcher and the executor thread.
     """
 
     def __init__(self, service, config: GatewayConfig | None = None, *,
@@ -391,6 +398,12 @@ class Gateway:
             return self._error_response(GatewayOverloaded(
                 f"gateway is {self._state}; retry another replica"
             ))
+        cached = getattr(self.service, "cached", None)
+        predictions = cached(tables) if cached is not None else None
+        if predictions is not None:
+            self._counters.answered_from_cache += 1
+            self._counters.completed += 1
+            return self._annotate_response(single, tables, predictions)
         pending = PendingRequest(
             tables=tables, deadline=deadline,
             future=asyncio.get_running_loop().create_future(),
@@ -422,6 +435,11 @@ class Gateway:
             self._counters.errors += 1
             return self._error_response(error)
         self._counters.completed += 1
+        return self._annotate_response(single, tables, predictions)
+
+    @staticmethod
+    def _annotate_response(single: bool, tables: list[Table],
+                           predictions: list) -> HttpResponse:
         if single:
             return HttpResponse.from_json({
                 "table_id": tables[0].table_id,
@@ -514,6 +532,7 @@ class Gateway:
             "rejected_draining": counters.rejected_draining,
             "expired_at_admission": counters.expired_at_admission,
             "expired_in_flight": counters.expired_in_flight,
+            "answered_from_cache": counters.answered_from_cache,
             "queue_depth": queue.depth if queue is not None else 0,
             "admitted": queue.admitted if queue is not None else 0,
             "shed_queue_full": queue.shed_queue_full if queue is not None else 0,

@@ -1,4 +1,4 @@
-"""Tests of the one table cache: LRU bounds, counters and ``resolve``.
+"""Tests of the one table cache: LRU bounds, counters, ``lookup`` and ``resolve``.
 
 The service and the router resolve every batch through
 :class:`SharedResultsCache`, from whatever threads call them; the counters
@@ -116,6 +116,48 @@ class TestThreadSafety:
         stats = cache.stats()
         assert stats["hits"] + stats["coalesced"] + stats["misses"] == n_threads * ops
         assert stats["size"] <= 64
+
+    def test_lookup_and_resolve_balance_under_contention(self):
+        # With one table per call, every resolve counts exactly one hit, join
+        # or lead, every answered lookup one hit and a refused lookup none —
+        # so a lost update, or a lookup counting a refusal, unbalances them.
+        cache = SharedResultsCache(maxsize=16)
+        n_threads, ops = 8, 1000
+        barrier = threading.Barrier(n_threads)
+        answered = [0] * n_threads
+        wrong: list = []
+
+        def worker(seed: int) -> None:
+            barrier.wait()
+            for i in range(ops):
+                entry = table(str((seed * 31 + i) % 48))  # most keys overflow
+                if i % 2:
+                    values = cache.lookup([entry])
+                    if values is not None:
+                        answered[seed] += 1
+                        if values != [f"value-{entry['table_id']}"]:
+                            wrong.append(values)
+                else:
+                    cache.resolve([entry], Recorder())
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert 0 < sum(answered) < n_threads * ops // 2
+        stats = cache.stats()
+        assert (stats["hits"] + stats["coalesced"] + stats["misses"]
+                == n_threads * ops // 2 + sum(answered))
+        assert stats["size"] <= 16
 
     def test_recency_list_stays_intact_under_contention(self):
         cache = SharedResultsCache(maxsize=8)
@@ -236,3 +278,46 @@ class TestResolve:
         cache.complete(key_b, held, "value-b")
         caller.join(5.0)
         assert results == [["value-a", "value-b"]]
+
+
+class TestLookup:
+    """The non-blocking all-or-nothing read the gateway's door relies on."""
+
+    def test_all_hits_return_values_in_input_order(self):
+        cache = SharedResultsCache()
+        cache.resolve([table("a"), table("b")], Recorder())
+        assert cache.lookup([table("b"), table("a"), table("b")]) == [
+            "value-b", "value-a", "value-b"]
+        stats = cache.stats()
+        # Counted like resolve: one hit per distinct key, repeats free.
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+
+    def test_a_hit_refreshes_recency(self):
+        cache = SharedResultsCache(maxsize=2)
+        cache.resolve([table("a"), table("b")], Recorder())
+        assert cache.lookup([table("a")]) == ["value-a"]  # "b" is now LRU
+        cache.resolve([table("c")], Recorder())
+        assert cache.stats()["evictions"] == 1
+        assert cache.lookup([table("a"), table("c")]) == ["value-a", "value-c"]
+        assert cache.lookup([table("b")]) is None  # the least recently *used*
+
+    @pytest.mark.parametrize("maxsize", [16, 0])
+    def test_any_miss_returns_none_and_counts_nothing(self, maxsize):
+        cache = SharedResultsCache(maxsize=maxsize)
+        cache.resolve([table("a")], Recorder())
+        before = cache.stats()
+        assert cache.lookup([table("a"), table("new")]) is None
+        assert cache.lookup([table("new")]) is None
+        if maxsize == 0:
+            assert cache.lookup([table("a")]) is None  # nothing is stored
+        assert cache.stats() == before
+
+    def test_key_in_flight_is_not_a_hit(self):
+        cache = SharedResultsCache()
+        key = table_key(table("a"))
+        _, flight = cache.begin(key)  # led, not yet stored
+        before = cache.stats()
+        assert cache.lookup([table("a")]) is None
+        assert cache.stats() == before  # no join counted, nothing waited on
+        cache.complete(key, flight, "value-a")
+        assert cache.lookup([table("a")]) == ["value-a"]

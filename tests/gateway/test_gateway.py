@@ -23,10 +23,12 @@ from repro.core.errors import (
     ServiceClosed,
     ServingError,
 )
+from repro.data.table import table_key
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig, status_for
 from repro.gateway.http import HttpConnection
 
 from tests.gateway.util import (
+    CachingFakeService,
     FakeService,
     get,
     make_table,
@@ -449,6 +451,99 @@ class TestDrain:
             await asyncio.wait_for(gateway._finished.wait(), 10.0)
             assert gateway.state == "closed"
             assert service.closed
+        asyncio.run(main())
+
+
+class TestCacheDoor:
+    """A seat with ``cached`` answers all-hit requests before admission."""
+
+    def test_all_hit_requests_skip_the_batcher(self):
+        async def main():
+            service = CachingFakeService()
+            tables = [make_table(f"t{index}") for index in range(3)]
+            for table in tables:
+                service.store[table_key(table)] = [f"stored:{table.table_id}"]
+            async with running_gateway(service) as gateway:
+                single = await post_annotate(gateway, table_payload(tables[0]))
+                listed = await post_annotate(
+                    gateway, [table_payload(table) for table in tables])
+                stats = gateway.stats()
+            assert single.status == listed.status == 200
+            assert single.json() == {"table_id": "t0",
+                                     "predictions": ["stored:t0"]}
+            assert [entry["predictions"] for entry in listed.json()["results"]] \
+                == [["stored:t0"], ["stored:t1"], ["stored:t2"]]
+            assert service.calls == []  # annotate_batch never ran
+            assert stats["batches"] == 0
+            assert stats["answered_from_cache"] == stats["completed"] == 2
+            _assert_accounting(stats)
+        asyncio.run(main())
+
+    def test_partial_hit_goes_through_the_batcher_with_the_same_answers(self):
+        async def main():
+            service = CachingFakeService()
+            warm, cold = make_table("warm"), make_table("cold", columns=3)
+            payload = [table_payload(warm), table_payload(cold)]
+            async with running_gateway(service) as gateway:
+                await post_annotate(gateway, table_payload(warm))
+                partial = await post_annotate(gateway, payload)
+                assert gateway.stats()["answered_from_cache"] == 0
+                repeat = await post_annotate(gateway, payload)  # now all hits
+                stats = gateway.stats()
+            assert partial.status == repeat.status == 200
+            assert partial.json() == repeat.json()
+            assert service.calls == [(1, None), (2, None)]  # no third batch
+            assert stats["batches"] == 2
+            assert stats["answered_from_cache"] == 1
+            assert stats["completed"] == 3
+            _assert_accounting(stats)
+        asyncio.run(main())
+
+    def test_door_answers_are_typed_as_a_counter(self):
+        async def main():
+            service = CachingFakeService()
+            async with running_gateway(service) as gateway:
+                for _ in range(2):
+                    await post_annotate(gateway, table_payload(make_table()))
+                return (await get(gateway, "/metrics")).body.decode()
+
+        text = asyncio.run(main())
+        assert "# TYPE kglink_gateway_answered_from_cache counter" in text
+        assert "kglink_gateway_answered_from_cache 1" in text
+
+    def test_draining_gateway_refuses_a_cached_table(self):
+        async def main():
+            started, release = threading.Event(), threading.Event()
+            cached_table = make_table("cached")
+
+            def gated(tables, budget_s):
+                started.set()
+                assert release.wait(10.0)
+                return [["ok"] for _ in tables]
+
+            service = CachingFakeService(annotate=gated)
+            service.store[table_key(cached_table)] = ["stored"]
+            gateway = Gateway(service, GatewayConfig(port=0))
+            await gateway.start()
+            straggler = await HttpConnection.open("127.0.0.1", gateway.port)
+            in_flight = asyncio.create_task(
+                post_annotate(gateway, table_payload(make_table("inflight"))))
+            await asyncio.get_running_loop().run_in_executor(None, started.wait)
+            drain = asyncio.create_task(gateway.shutdown())
+            await asyncio.sleep(0.1)
+            assert gateway.state == "draining"
+            late = await straggler.request(
+                "POST", "/annotate", json_body=table_payload(cached_table))
+            release.set()
+            assert (await asyncio.wait_for(in_flight, 10.0)).status == 200
+            await asyncio.wait_for(drain, 10.0)
+            await straggler.aclose()
+            assert late.status == 503
+            assert "draining" in late.json()["detail"]
+            stats = gateway.stats()
+            assert stats["rejected_draining"] == 1
+            assert stats["answered_from_cache"] == 0
+            _assert_accounting(stats)
         asyncio.run(main())
 
 

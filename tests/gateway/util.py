@@ -1,9 +1,10 @@
 """Shared helpers for the gateway suite: a scripted service and tiny clients.
 
 The gateway only touches a narrow serving surface (``annotate_batch``,
-``stats``, ``health``, ``close``, ``max_batch``, ``policy``), so most of the
-suite runs against :class:`FakeService` — a scriptable stand-in that records
-every call — and reserves the real trained service for the chaos tests.
+``stats``, ``health``, ``close``, ``max_batch``, ``policy`` and the optional
+``cached``), so most of the suite runs against :class:`FakeService` — a
+scriptable stand-in that records every call — and reserves the real trained
+service for the chaos tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro.data.table import Column, Table
+from repro.data.table import Column, Table, table_key
 from repro.gateway import Gateway, GatewayConfig, HttpConnection
 
 
@@ -76,6 +77,30 @@ class FakeService:
 
     def close(self) -> None:
         self.closed = True
+
+
+class CachingFakeService(FakeService):
+    """A :class:`FakeService` with the fleet router's optional ``cached`` door.
+
+    Every table it annotates is remembered by content; ``cached`` answers a
+    batch only when every table is remembered, else ``None``.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.store: dict[str, list[str]] = {}
+
+    def annotate_batch(self, tables, budget_s=None):
+        results = super().annotate_batch(tables, budget_s)
+        with self._lock:
+            for table, result in zip(tables, results, strict=True):
+                self.store[table_key(table)] = result
+        return results
+
+    def cached(self, tables):
+        with self._lock:
+            values = [self.store.get(table_key(table)) for table in tables]
+        return None if None in values else values
 
 
 def make_table(table_id: str = "t", columns: int = 2) -> Table:
