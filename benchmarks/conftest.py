@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every experiment benchmark runs against the ``smoke`` profile so the whole
-harness completes in minutes on CPU; the numbers recorded in EXPERIMENTS.md
-come from the larger ``default`` profile (``python -m repro.experiments all
+harness completes in minutes on CPU.  ``EXPERIMENTS.md``, which
+``scripts/generate_experiments_md.py`` generates and which is not committed,
+reports the larger ``default`` profile (``python -m repro.experiments all
 --profile default``).  Fitted models are cached inside the shared resources,
 so benchmarks that reuse the same models (Table I → Figure 7 → Table IV) do
 not refit them.

@@ -10,6 +10,7 @@ The script combines, for every experiment, the measured rows (produced by
 the paper-reported reference values embedded in each report, and a short
 hand-written commentary on whether the paper's qualitative shape is preserved.
 Experiments whose JSON report is missing are listed as "not yet run".
+The generated file is not committed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's evaluation section is regenerated by a
-runner in `repro.experiments` (see DESIGN.md for the per-experiment index).
+runner in `repro.experiments` (`python -m repro.experiments --help` lists them).
 The numbers below were produced with the **default** profile
 (`python -m repro.experiments all --profile default --output-dir results`):
 a synthetic knowledge graph (~2.5k entities), a 200-table SemTab-style corpus,
@@ -33,8 +34,8 @@ a 400-table VizNet-style corpus, and a 2-layer / 64-dim MiniBERT encoder
 trained for 12 epochs (24 for the multi-column methods, which take one
 optimisation step per table instead of one per column).  The paper's own
 setting — BERT-base on a V100, the real SemTab-2019 and VizNet corpora — is
-documented as the `paper` profile and is not runnable offline; DESIGN.md lists
-every substitution.
+documented as the `paper` profile in `repro.experiments.config` and is not
+runnable offline.
 
 **How to read the numbers.**  Absolute values are not comparable to the paper
 (different corpora, different encoder capacity, ~100x less data); what the

@@ -24,7 +24,7 @@ differently-configured annotators.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.model import KGLinkModel
@@ -135,10 +135,6 @@ class KGLinkConfig:
             fixed_log_sigma1_sq=self.fixed_log_sigma1_sq,
             seed=self.seed,
         )
-
-    def without_kg(self) -> KGLinkConfig:
-        """The ``KGLink w/o ct`` ablation: no KG information at all."""
-        return replace(self, use_candidate_types=False, use_feature_vector=False)
 
 
 class KGLinkAnnotator:

@@ -234,17 +234,3 @@ class SharedResultsCache:
                 "size": len(self._store),
                 "maxsize": max(self.maxsize, 0),
             }
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss/coalesced/eviction counters (entries stay warm)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._coalesced = 0
-            self._evictions = 0
-
-    def clear(self) -> None:
-        """Drop every entry and open flight; the counters keep accumulating."""
-        with self._lock:
-            self._store.clear()
-            self._flights.clear()

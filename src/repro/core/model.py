@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.plm.model import MiniBERT
 
@@ -85,7 +84,3 @@ class KGLinkModel(nn.Module):
     def predict_labels(self, logits: Tensor) -> np.ndarray:
         """Arg-max label indices from classification logits."""
         return np.argmax(logits.data, axis=-1)
-
-    def predict_probabilities(self, logits: Tensor) -> np.ndarray:
-        """Softmax probabilities from classification logits."""
-        return F.softmax(logits, axis=-1).data

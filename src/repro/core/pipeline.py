@@ -128,9 +128,6 @@ class ProcessedTable:
     row_scores: list[float]
     kept_row_indices: list[int]
 
-    def column_info(self, index: int) -> ColumnKGInfo:
-        return self.columns[index]
-
     def labels(self) -> list[str | None]:
         return [info.label for info in self.columns]
 

@@ -416,35 +416,28 @@ class KGLinkTrainer:
             total += int(chunk.max()) * len(chunk)
         return total
 
-    def predict(self, examples: list[PreparedExample], batch_size: int | None = None,
-                length_bucketing: bool = True) -> list[list[str]]:
+    def predict(self, examples: list[PreparedExample],
+                batch_size: int | None = None) -> list[list[str]]:
         """Predicted labels for every column of every example (table order preserved).
 
-        With ``length_bucketing`` (the default) examples are batched in order
-        of serialised length, so short tables are not padded to the longest
-        table of an arbitrary batch; results are returned in the original
-        table order either way, and padded positions are attention-masked, so
-        the predictions are identical with bucketing on or off.  Padding
-        statistics of the last call are exposed as :attr:`last_bucket_stats`.
+        Examples are batched in order of serialised length, so short tables
+        are not padded to the longest table of an arbitrary batch; results are
+        returned in the original table order, and padded positions are
+        attention-masked, so each table's predictions do not depend on the
+        tables batched with it.  Padding statistics of the last call are
+        exposed as :attr:`last_bucket_stats`.
         """
         if not examples:
             self.last_bucket_stats = None
             return []
         batch_size = batch_size or self.config.batch_size
         lengths = np.asarray([example.masked.sequence_length for example in examples])
-        if length_bucketing:
-            order = np.argsort(lengths, kind="stable")
-        else:
-            order = np.arange(len(examples))
+        order = np.argsort(lengths, kind="stable")
         self.last_bucket_stats = {
             "n_examples": len(examples),
             "n_batches": int(np.ceil(len(examples) / batch_size)),
-            "length_bucketing": bool(length_bucketing),
             "useful_tokens": int(lengths.sum()),
             "padded_tokens": self._padded_tokens(lengths, order, batch_size),
-            "padded_tokens_unbucketed": self._padded_tokens(
-                lengths, np.arange(len(examples)), batch_size
-            ),
         }
         self.model.eval()
         predictions: list[list[str] | None] = [None] * len(examples)

@@ -28,7 +28,6 @@ class TableCorpus:
                  if column.label is not None}
             )
             self.label_vocabulary = labels
-        self._label_to_index = {label: index for index, label in enumerate(self.label_vocabulary)}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -44,13 +43,6 @@ class TableCorpus:
     @property
     def num_labels(self) -> int:
         return len(self.label_vocabulary)
-
-    def label_index(self, label: str) -> int:
-        """Integer id of a label (raises ``KeyError`` for unknown labels)."""
-        return self._label_to_index[label]
-
-    def index_label(self, index: int) -> str:
-        return self.label_vocabulary[index]
 
     def label_counts(self) -> Counter:
         """Number of columns per ground-truth label."""

@@ -91,13 +91,6 @@ class EvaluationResult:
     num_columns: int
     per_class: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "num_columns": float(self.num_columns),
-        }
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"accuracy={self.accuracy:.2f} weighted_f1={self.weighted_f1:.2f} "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Any
 
 from repro.text.ner import EntitySchema, detect_schema
 
@@ -73,14 +72,6 @@ class Column:
         """
         return schemas_are_numeric((cell, detect_schema(cell)) for cell in self.cells)
 
-    def schema_profile(self) -> dict[EntitySchema, int]:
-        """Histogram of cell schema categories (useful for statistics)."""
-        profile: dict[EntitySchema, int] = {}
-        for cell in self.cells:
-            schema = detect_schema(cell)
-            profile[schema] = profile.get(schema, 0) + 1
-        return profile
-
     def truncated(self, max_rows: int) -> Column:
         """Return a copy keeping only the first ``max_rows`` cells."""
         return replace(
@@ -129,9 +120,6 @@ class Table:
     def labels(self) -> list[str | None]:
         """Ground-truth labels of all columns (in column order)."""
         return [column.label for column in self.columns]
-
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
 
     # ------------------------------------------------------------------ #
     def with_rows(self, row_indices: Sequence[int]) -> Table:
@@ -192,48 +180,24 @@ class Table:
         }
 
 
-def table_key(table: Any) -> str:
+def table_key(table: Table) -> str:
     """Content digest of a table: same bytes in, same key out.
 
     Covers the table id and each column's name, cells and label (cached
-    Part-1 results carry the labels as ground truth).
-    Accepts both shapes that reach the serving tiers: :class:`Table` objects
-    and the wire-shaped mapping (``table_id`` / ``columns`` with ``name``
-    and ``cells``).  Anything else degrades to a digest of its ``repr``.
-    Collisions are SHA-256-hard; identity is *content*, so a re-sent table
-    hits regardless of which request object carried it, and a reused id
-    with different content misses.
+    Part-1 results carry the labels as ground truth).  Every serving tier
+    receives :class:`Table` objects (the gateway parses JSON into them and
+    the wire pickles them).  Collisions are SHA-256-hard; identity is
+    *content*, so a re-sent table hits regardless of which request object
+    carried it, and a reused id with different content misses.
     """
     digest = hashlib.sha256()
-
-    def _column(name: Any, cells: Any, label: Any) -> None:
+    digest.update(repr(table.table_id).encode())
+    for column in table.columns:
         digest.update(b"\x00col\x00")
-        digest.update(repr(name).encode())
-        for cell in cells:
+        digest.update(repr(column.name).encode())
+        for cell in column.cells:
             digest.update(b"\x00")
             digest.update(repr(cell).encode())
         digest.update(b"\x00label\x00")
-        digest.update(repr(label).encode())
-
-    columns = getattr(table, "columns", None)
-    if columns is not None and hasattr(table, "table_id"):
-        digest.update(repr(table.table_id).encode())
-        for column in columns:
-            _column(getattr(column, "name", ""), getattr(column, "cells", ()),
-                    getattr(column, "label", None))
-    elif isinstance(table, dict):
-        digest.update(repr(table.get("table_id", "")).encode())
-        raw_columns = table.get("columns")
-        if isinstance(raw_columns, list):
-            for column in raw_columns:
-                if isinstance(column, dict):
-                    _column(column.get("name", column.get("header", "")),
-                            column.get("cells", ()), column.get("label"))
-                else:
-                    digest.update(repr(column).encode())
-        else:
-            for item in sorted(table.items(), key=lambda kv: repr(kv[0])):
-                digest.update(repr(item).encode())
-    else:
-        digest.update(repr(table).encode())
+        digest.update(repr(column.label).encode())
     return digest.hexdigest()

@@ -4,9 +4,10 @@ Three profiles are provided:
 
 * ``smoke`` — very small corpora and few epochs; used by the test suite and the
   benchmark harness so the whole suite completes in minutes on CPU.
-* ``default`` — the profile used to produce the numbers recorded in
-  ``EXPERIMENTS.md``; still CPU-friendly but large enough for the relative
-  ordering of the methods to be stable.
+* ``default`` — the profile behind ``EXPERIMENTS.md``, which
+  ``scripts/generate_experiments_md.py`` generates from a run's JSON reports
+  (the file is not committed); still CPU-friendly but large enough for the
+  relative ordering of the methods to be stable.
 * ``paper`` — documents the original settings of the paper (BERT-base on a
   V100, 50/20 epochs, the real corpora).  It is not runnable in this offline
   environment and exists so the scaling decisions are explicit.
@@ -103,7 +104,8 @@ PROFILES: dict[str, ExperimentProfile] = {
         learning_rate=1e-3,
         pretrain_steps=40,
         top_k_rows=12,
-        description="Profile used for the numbers recorded in EXPERIMENTS.md.",
+        description=("Profile behind EXPERIMENTS.md, which "
+                     "scripts/generate_experiments_md.py generates (not committed)."),
     ),
     "paper": ExperimentProfile(
         name="paper",

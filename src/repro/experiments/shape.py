@@ -9,7 +9,8 @@ where do curves peak.  This module quantifies the first of those questions:
   normalised Kendall-tau-style score in ``[0, 1]``);
 * :func:`ordering_report` — per-group (e.g. per-dataset) agreement for result
   tables such as Table I, including the list of disagreeing pairs so the
-  discussion in EXPERIMENTS.md can name them explicitly.
+  discussion in ``EXPERIMENTS.md`` (generated by
+  ``scripts/generate_experiments_md.py``, not committed) can name them.
 """
 
 from __future__ import annotations

@@ -106,6 +106,6 @@ def run(resources: SharedResources | None = None,
             "intra-table models (KGLink, Doduo, TaBERT) hold up better than the "
             "single-column models (RECA, Sudowoodo) on the non-numeric columns.  Column "
             "granularity is used instead of whole-table granularity because the synthetic "
-            "corpus has denser KG coverage than the real VizNet crawl (see DESIGN.md)."
+            "corpus has denser KG coverage than the real VizNet crawl."
         ),
     )

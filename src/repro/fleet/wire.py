@@ -1,7 +1,7 @@
 """The fleet's wire protocol: length-prefixed frames over a local socket.
 
 One replica process serves ``annotate_batch`` (plus ``ping`` / ``stats`` /
-``health`` / ``shutdown``) to the router over a loopback TCP connection.
+``shutdown``) to the router over a loopback TCP connection.
 The protocol is deliberately minimal and stdlib-only:
 
 * a **frame** is a 4-byte big-endian length followed by that many bytes of
@@ -299,31 +299,32 @@ class ReplicaClient:
 
 def ping(address: tuple[str, int], *, deadline_s: float,
          clock: Callable[[], float] = time.monotonic) -> dict[str, Any]:
-    """One-shot liveness probe: dial, ``ping``, hang up.
+    """One-shot liveness probe: ``ping`` on a fresh client, then hang up.
 
     The supervisor's heartbeat loop uses this rather than a pooled client so
     a respawned replica (new port) needs no client-side state to invalidate.
-    Returns the replica's ping payload (name, pid, health snapshot); any
+    Returns the replica's ping payload (name, pid, health snapshot).  Any
     failure surfaces as :class:`~repro.core.errors.ReplicaUnavailable` or
-    :class:`~repro.core.errors.DeadlineExceeded`.
+    :class:`~repro.core.errors.DeadlineExceeded`, including an error the
+    replica answers with (say, a ``health()`` that raises), because the
+    heartbeat treats every other outcome as a live replica.
     """
-    connect_timeout = min(CONNECT_TIMEOUT_S, _remaining(deadline_s, clock))
+    client = ReplicaClient(
+        address,
+        connect_timeout_s=min(CONNECT_TIMEOUT_S, _remaining(deadline_s, clock)),
+        clock=clock,
+    )
     try:
-        sock = socket.create_connection(address, timeout=connect_timeout)
-    except OSError as error:
-        raise ReplicaUnavailable(
-            f"replica at {address} is unreachable: {error}"
-        ) from error
-    try:
-        send_message(sock, {"op": "ping"}, deadline_s=deadline_s, clock=clock)
-        response = recv_message(sock, deadline_s=deadline_s, clock=clock)
-    except (ConnectionError, OSError, EOFError, pickle.PickleError) as error:
+        value = client.request("ping", deadline_s=deadline_s)
+    except (ReplicaUnavailable, DeadlineExceeded):
+        raise
+    except Exception as error:
         raise ReplicaUnavailable(
             f"replica at {address} failed the heartbeat: "
             f"{type(error).__name__}: {error}"
         ) from error
     finally:
-        sock.close()
-    if not isinstance(response, dict) or not response.get("ok"):
+        client.close()
+    if not isinstance(value, dict):
         raise ReplicaUnavailable(f"replica at {address} answered ping abnormally")
-    return response.get("value", {})
+    return value

@@ -74,9 +74,8 @@ from repro.gateway.http import (
 __all__ = ["GatewayConfig", "Gateway", "status_for"]
 
 #: ``/metrics`` names (without their ``kglink_<tier>_`` prefix) exposed as
-#: Prometheus counters: monotonic totals since start or the last
-#: ``reset_stats``.  Every other numeric value — levels, ratios and the
-#: effective batching policy — is a gauge.
+#: Prometheus counters: monotonic totals since start.  Every other numeric
+#: value — levels, ratios and the effective batching policy — is a gauge.
 _COUNTER_METRICS = frozenset({
     # gateway and micro-batcher
     "requests", "completed", "errors", "rejected_draining",

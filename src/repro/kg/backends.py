@@ -225,11 +225,6 @@ class BM25Index:
             return 0.0
         return self._total_length / len(self._doc_term_counts)
 
-    @property
-    def is_finalized(self) -> bool:
-        """Whether the compiled arrays are current with the builder dicts."""
-        return self._compiled
-
     def document_frequency(self, term: str) -> int:
         """Number of indexed documents containing ``term``."""
         self._require_builder("document_frequency")

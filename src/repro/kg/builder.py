@@ -246,10 +246,6 @@ class KGWorld:
         """A literal attribute value of an entity (dates, counts, masses...)."""
         return self.literals.get(entity_id, {}).get(attribute, default)
 
-    def available_types(self) -> list[str]:
-        """Fine-grained type labels that have at least one instance."""
-        return sorted(label for label, ids in self.instances_by_type.items() if ids)
-
 
 class SyntheticKGBuilder:
     """Builds the synthetic WikiData-like world."""

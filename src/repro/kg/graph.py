@@ -90,7 +90,6 @@ class KnowledgeGraph:
         self._triples: list[Triple] = []
         self._outgoing: dict[str, list[Triple]] = defaultdict(list)
         self._incoming: dict[str, list[Triple]] = defaultdict(list)
-        self._by_label: dict[str, list[str]] = defaultdict(list)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -100,9 +99,6 @@ class KnowledgeGraph:
         if entity.entity_id in self._entities:
             raise ValueError(f"entity {entity.entity_id!r} already exists")
         self._entities[entity.entity_id] = entity
-        self._by_label[entity.label.lower()].append(entity.entity_id)
-        for alias in entity.aliases:
-            self._by_label[alias.lower()].append(entity.entity_id)
         return entity
 
     def create_entity(
@@ -146,10 +142,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self._entities)
 
-    @property
-    def num_triples(self) -> int:
-        return len(self._triples)
-
     def entity(self, entity_id: str) -> Entity:
         """Return the entity with ``entity_id`` (raises ``KeyError`` if absent)."""
         return self._entities[entity_id]
@@ -161,10 +153,6 @@ class KnowledgeGraph:
     def triples(self) -> Iterator[Triple]:
         """Iterate over all triples."""
         return iter(self._triples)
-
-    def entities_by_label(self, label: str) -> list[Entity]:
-        """Exact (case-insensitive) label or alias lookup."""
-        return [self._entities[eid] for eid in self._by_label.get(label.lower(), [])]
 
     def type_entities(self) -> list[Entity]:
         """All entities flagged as type entities (potential column types)."""
@@ -195,13 +183,6 @@ class KnowledgeGraph:
             neighbors.update(t.subject for t in self._incoming.get(entity_id, ()))
         neighbors.discard(entity_id)
         return neighbors
-
-    def one_hop_neighbors_of_set(self, entity_ids: Iterable[str]) -> set[str]:
-        """Union of one-hop neighbourhoods of several entities (``N(E)``)."""
-        result: set[str] = set()
-        for entity_id in entity_ids:
-            result.update(self.one_hop_neighbors(entity_id))
-        return result
 
     def neighborhood_with_predicates(self, entity_id: str) -> list[tuple[str, str]]:
         """Return ``(predicate, neighbor_id)`` pairs used to build feature sequences."""

@@ -163,11 +163,6 @@ class EntityLinker:
         links = self.link(mention)
         return links[0] if links else None
 
-    def linking_score(self, mention: str) -> float:
-        """The cell linking score ``ls_{m}`` = max BM25 score over candidates (Eq. 4)."""
-        best = self.best_link(mention)
-        return best.score if best is not None else 0.0
-
     def cache_info(self) -> LinkCacheInfo:
         """Retrieval memo statistics (read by the benchmarks)."""
         return LinkCacheInfo(self._hits, self._misses, _LINK_MEMO_SIZE, len(self._memo))

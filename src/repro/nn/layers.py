@@ -124,10 +124,6 @@ class Module:
         """Return all trainable parameters as a flat list."""
         return [param for _, param in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        """Total number of scalar weights in the module."""
-        return int(sum(p.data.size for p in self.parameters()))
-
     # -- training mode -------------------------------------------------- #
     def train(self, mode: bool = True) -> Module:
         """Set training mode recursively (affects dropout)."""
@@ -328,7 +324,8 @@ class MultiHeadSelfAttention(Module):
 
     Q, K and V are produced by a single packed ``(hidden, 3*hidden)``
     projection (one matmul instead of three); checkpoints saved with the
-    older separate ``query``/``key``/``value`` layout are migrated on load.
+    older separate ``query``/``key``/``value`` layout are rejected by
+    :meth:`Module.load_state_dict` as a state dict mismatch.
     The attention core runs through the fused
     :func:`~repro.nn.functional.scaled_dot_product_attention` node by
     default; setting :attr:`fused` to false selects the original chain of

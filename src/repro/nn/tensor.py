@@ -258,10 +258,6 @@ class Tensor:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> Tensor:
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor._result(self.data)
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None
@@ -577,16 +573,6 @@ class Tensor:
 
         return self._make_child(out_data, (self,), backward)
 
-    def sigmoid(self) -> Tensor:
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        if not (_GRAD_MODE.enabled and self.requires_grad):
-            return Tensor._result(out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make_child(out_data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # graph traversal
     # ------------------------------------------------------------------ #
@@ -652,28 +638,6 @@ class Tensor:
             # weight init irreproducible run-to-run (REP105).
             rng = np.random.default_rng(0)
         return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-        tensors = list(tensors)
-        datas = [t.data for t in tensors]
-        out_data = np.concatenate(datas, axis=axis)
-        child = Tensor._result(out_data)
-        if not (_GRAD_MODE.enabled and any(t.requires_grad for t in tensors)):
-            return child
-        sizes = [d.shape[axis] for d in datas]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:], strict=True):
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-        child.requires_grad = True
-        child._parents = tuple(tensors)
-        child._backward = backward
-        return child
 
     @staticmethod
     def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

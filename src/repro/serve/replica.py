@@ -19,9 +19,9 @@ protocol (:mod:`repro.fleet.wire`) on a loopback socket.
   propagates.
 
 Ops served: ``annotate_batch`` (tables + remaining budget), ``ping``
-(liveness + a health snapshot for the supervisor to cache), ``stats`` /
-``health`` (the service's own telemetry), ``shutdown`` (acknowledge, then
-stop accepting).  Handler failures cross the wire as typed error payloads
+(liveness + a health snapshot for the supervisor to cache), ``stats``
+(the service's own telemetry), ``shutdown`` (acknowledge, then stop
+accepting).  Handler failures cross the wire as typed error payloads
 (:func:`repro.fleet.wire.encode_error`) — never a dropped connection.
 """
 
@@ -266,8 +266,6 @@ class ReplicaServer:
                 }
             elif op == "stats":
                 value = self.service.stats().to_dict()
-            elif op == "health":
-                value = self.service.health().to_dict()
             elif op == "shutdown":
                 self._stopping.set()
                 self._close_listener()

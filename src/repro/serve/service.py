@@ -337,7 +337,7 @@ class AnnotationService:
     # telemetry
     # ------------------------------------------------------------------ #
     def stats(self) -> ServiceStats:
-        """Cumulative telemetry since start (or the last :meth:`reset_stats`)."""
+        """Cumulative telemetry since start."""
         cache = self._cache.stats()
         with self._stats_lock:
             return ServiceStats(
@@ -359,15 +359,3 @@ class AnnotationService:
             if self._closed:
                 return ServiceHealth("failed", ("service closed",))
         return ServiceHealth("healthy")
-
-    def reset_stats(self) -> None:
-        """Zero all telemetry counters (the cache contents stay warm)."""
-        with self._stats_lock:
-            self._requests = 0
-            self._tables = 0
-            self._part1_seconds = 0.0
-            self._encode_seconds = 0.0
-            self._batches = 0
-            self._useful_tokens = 0
-            self._padded_tokens = 0
-        self._cache.reset_counters()

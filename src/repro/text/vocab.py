@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
@@ -95,26 +94,3 @@ class Vocabulary:
     def decode(self, ids: Iterable[int]) -> list[str]:
         """Map an id sequence back to token strings."""
         return [self.id_to_token(index) for index in ids]
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build_from_corpus(
-        cls,
-        token_streams: Iterable[Iterable[str]],
-        max_size: int | None = None,
-        min_frequency: int = 1,
-        specials: SpecialTokens | None = None,
-    ) -> Vocabulary:
-        """Build a frequency-sorted vocabulary from tokenised documents."""
-        counter: Counter[str] = Counter()
-        for stream in token_streams:
-            counter.update(stream)
-        candidates = [
-            token
-            for token, count in counter.most_common()
-            if count >= min_frequency
-        ]
-        if max_size is not None:
-            budget = max_size - len((specials or SpecialTokens()).as_tuple())
-            candidates = candidates[: max(budget, 0)]
-        return cls(candidates, specials=specials)

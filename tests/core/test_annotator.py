@@ -55,11 +55,6 @@ class TestKGLinkConfig:
     def test_training_config_propagates_mask_switch(self):
         assert KGLinkConfig(use_mask_task=False).training_config().use_mask_task is False
 
-    def test_without_kg_disables_both_channels(self):
-        config = KGLinkConfig().without_kg()
-        assert config.use_candidate_types is False
-        assert config.use_feature_vector is False
-
     def test_serializer_config_budgets(self):
         config = KGLinkConfig(max_tokens_per_column=20, max_columns=5)
         serializer = config.serializer_config()

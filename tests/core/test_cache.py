@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.cache import SharedResultsCache
 from repro.core.errors import ReplicaUnavailable
-from repro.data.table import table_key
+from repro.data.table import Column, Table, table_key
 
 
 def store(cache: SharedResultsCache, key: str, value) -> None:
@@ -26,9 +26,9 @@ def store(cache: SharedResultsCache, key: str, value) -> None:
     cache.complete(key, flight, value)
 
 
-def table(table_id: str, *cells: str) -> dict:
-    return {"table_id": table_id,
-            "columns": [{"name": "c0", "cells": list(cells or ("x",))}]}
+def table(table_id: str, *cells: str) -> Table:
+    return Table(table_id=table_id,
+                 columns=[Column(name="c0", cells=list(cells or ("x",)))])
 
 
 def wait_for(predicate, what: str) -> None:
@@ -45,7 +45,7 @@ class Recorder:
         self.calls: list[list[str]] = []
 
     def __call__(self, tables):
-        ids = [entry["table_id"] for entry in tables]
+        ids = [entry.table_id for entry in tables]
         self.calls.append(ids)
         return [f"value-{table_id}" for table_id in ids]
 
@@ -67,21 +67,6 @@ class TestBasics:
         store(cache, "a", 1)
         assert cache.stats()["size"] == 0
         assert cache.begin("a")[0] == "lead"
-
-    def test_reset_counters_keeps_entries(self):
-        cache = SharedResultsCache(maxsize=1)
-        store(cache, "a", 1)
-        store(cache, "b", 2)  # evicts "a"
-        cache.begin("b")
-        _, flight = cache.begin("open")
-        cache.begin("open")
-        cache.reset_counters()
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["coalesced"],
-                stats["evictions"]) == (0, 0, 0, 0)
-        assert stats["size"] == 1
-        assert cache.begin("b") == ("hit", 2)  # entry survived the reset
-        cache.complete("open", flight, 3)
 
 
 class TestThreadSafety:
@@ -135,7 +120,7 @@ class TestThreadSafety:
                     values = cache.lookup([entry])
                     if values is not None:
                         answered[seed] += 1
-                        if values != [f"value-{entry['table_id']}"]:
+                        if values != [f"value-{entry.table_id}"]:
                             wrong.append(values)
                 else:
                     cache.resolve([entry], Recorder())

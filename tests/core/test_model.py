@@ -32,7 +32,9 @@ class TestConstruction:
             KGLinkModel(encoder, num_labels=0)
 
     def test_encoder_parameters_included(self, model, encoder):
-        assert model.num_parameters() > encoder.num_parameters()
+        encoder_ids = {id(param) for param in encoder.parameters()}
+        model_ids = {id(param) for param in model.parameters()}
+        assert encoder_ids < model_ids
 
 
 class TestForwardPieces:
@@ -82,7 +84,3 @@ class TestPrediction:
     def test_predict_labels_argmax(self, model):
         logits = Tensor(np.array([[0.1, 5.0, 0.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0, 0, 0]]))
         np.testing.assert_array_equal(model.predict_labels(logits), [1, 0])
-
-    def test_predict_probabilities_sum_to_one(self, model, rng):
-        probabilities = model.predict_probabilities(Tensor(rng.normal(size=(4, 7))))
-        np.testing.assert_allclose(probabilities.sum(axis=-1), np.ones(4), atol=1e-6)

@@ -27,14 +27,6 @@ class TestTableCorpus:
     def test_vocabulary_inferred_and_sorted(self, labelled_corpus):
         assert labelled_corpus.label_vocabulary == ["alpha", "beta", "gamma"]
 
-    def test_label_index_roundtrip(self, labelled_corpus):
-        for label in labelled_corpus.label_vocabulary:
-            assert labelled_corpus.index_label(labelled_corpus.label_index(label)) == label
-
-    def test_unknown_label_raises(self, labelled_corpus):
-        with pytest.raises(KeyError):
-            labelled_corpus.label_index("unknown")
-
     def test_counts_and_sizes(self, labelled_corpus):
         assert len(labelled_corpus) == 25
         assert labelled_corpus.num_columns == 25

@@ -19,7 +19,8 @@ class TestTableCSV:
         loaded = table_from_csv(path)
         assert loaded.table_id == toy_table.table_id
         assert loaded.labels() == toy_table.labels()
-        assert loaded.column_names() == toy_table.column_names()
+        assert ([column.name for column in loaded.columns]
+                == [column.name for column in toy_table.columns])
         for row_index in range(toy_table.n_rows):
             assert loaded.row(row_index) == toy_table.row(row_index)
 

@@ -89,6 +89,3 @@ class TestEvaluatePredictions:
     def test_report_omitted_by_default(self):
         assert evaluate_predictions(["a"], ["a"]).per_class == {}
 
-    def test_as_row(self):
-        row = evaluate_predictions(["a"], ["a"]).as_row()
-        assert row["accuracy"] == pytest.approx(100.0)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.text.ner import EntitySchema
 
 
 class TestColumn:
@@ -34,13 +33,6 @@ class TestColumn:
 
     def test_date_column_not_numeric(self):
         assert not Column(name="d", cells=["1888-11-24", "1990-01-01"]).is_numeric()
-
-    def test_schema_profile_counts(self):
-        column = Column(name="x", cells=["42", "Peter Steele", "1888-11-24"])
-        profile = column.schema_profile()
-        assert profile[EntitySchema.NUMBER] == 1
-        assert profile[EntitySchema.PERSON] == 1
-        assert profile[EntitySchema.DATE] == 1
 
     def test_truncated_keeps_prefix(self):
         column = Column(name="x", cells=["a", "b", "c"], source_entity_ids=["1", "2", "3"])
@@ -77,7 +69,7 @@ class TestTable:
 
     def test_labels_and_names(self, toy_table):
         assert toy_table.labels() == ["Cricketer", "birthDate", "points"]
-        assert toy_table.column_names() == ["player", "born", "points"]
+        assert [column.name for column in toy_table.columns] == ["player", "born", "points"]
 
     def test_with_rows_subset_and_order(self, toy_table):
         reordered = toy_table.with_rows([2, 0])

@@ -12,67 +12,42 @@ from repro.data.table import Column, Table, table_key
 from repro.core.cache import Flight, SharedResultsCache
 
 
-def dict_table(table_id="t0", name="c0", cells=("a", "b")) -> dict:
-    return {"table_id": table_id,
-            "columns": [{"name": name, "cells": list(cells)}]}
-
-
-def obj_table(table_id="t0", name="c0", cells=("a", "b")) -> Table:
+def make_table(table_id="t0", name="c0", cells=("a", "b"), label=None) -> Table:
     return Table(table_id=table_id,
-                 columns=[Column(name=name, cells=list(cells))])
+                 columns=[Column(name=name, cells=list(cells), label=label)])
 
 
 class TestTableKey:
     def test_same_content_same_key(self):
-        assert table_key(dict_table()) == table_key(dict_table())
-
-    def test_object_and_dict_shapes_agree(self):
-        # The gateway parses payloads into Table objects before the router
-        # sees them; a raw dict with the same content must map to the same
-        # cache entry.
-        assert table_key(obj_table()) == table_key(dict_table())
+        assert table_key(make_table()) == table_key(make_table())
 
     def test_table_id_is_part_of_identity(self):
-        assert table_key(dict_table("t0")) != table_key(dict_table("t1"))
+        assert table_key(make_table("t0")) != table_key(make_table("t1"))
 
     def test_column_name_is_part_of_identity(self):
-        assert table_key(dict_table(name="c0")) != table_key(
-            dict_table(name="c1"))
+        assert table_key(make_table(name="c0")) != table_key(
+            make_table(name="c1"))
 
     def test_cells_are_part_of_identity(self):
-        assert table_key(dict_table(cells=("a",))) != table_key(
-            dict_table(cells=("a", "b")))
+        assert table_key(make_table(cells=("a",))) != table_key(
+            make_table(cells=("a", "b")))
 
     def test_cell_order_matters(self):
-        assert table_key(dict_table(cells=("a", "b"))) != table_key(
-            dict_table(cells=("b", "a")))
+        assert table_key(make_table(cells=("a", "b"))) != table_key(
+            make_table(cells=("b", "a")))
 
     def test_cell_boundaries_do_not_alias(self):
-        assert table_key(dict_table(cells=("ab", "c"))) != table_key(
-            dict_table(cells=("a", "bc")))
-
-    def test_legacy_header_field_is_honoured(self):
-        legacy = {"table_id": "t0",
-                  "columns": [{"header": "c0", "cells": ["a", "b"]}]}
-        assert table_key(legacy) == table_key(dict_table())
+        assert table_key(make_table(cells=("ab", "c"))) != table_key(
+            make_table(cells=("a", "bc")))
 
     def test_label_is_part_of_identity(self):
-        labelled = Table(table_id="t0", columns=[
-            Column(name="c0", cells=["a", "b"], label="city")])
-        assert table_key(labelled) != table_key(obj_table())
-        dict_labelled = {"table_id": "t0", "columns": [
-            {"name": "c0", "cells": ["a", "b"], "label": "city"}]}
-        assert table_key(dict_labelled) == table_key(labelled)
-
-    def test_unknown_shapes_fall_back_to_repr(self):
-        assert table_key("weird") == table_key("weird")
-        assert table_key("weird") != table_key("weirder")
+        assert table_key(make_table(label="city")) != table_key(make_table())
 
 
 class TestSingleFlight:
     def test_lead_then_hit(self):
         cache = SharedResultsCache()
-        key = table_key(dict_table())
+        key = table_key(make_table())
         outcome, flight = cache.begin(key)
         assert outcome == "lead"
         cache.complete(key, flight, [["x"]])
@@ -166,12 +141,3 @@ class TestStats:
         stats = cache.stats()
         assert stats == {"hits": 1, "misses": 1, "coalesced": 1,
                          "evictions": 0, "size": 1, "maxsize": 8}
-
-    def test_clear_resets_storage_and_flights(self):
-        cache = SharedResultsCache()
-        _, flight = cache.begin("k")
-        cache.complete("k", flight, "v")
-        cache.begin("wedged")  # leave a flight open
-        cache.clear()
-        assert cache.begin("k")[0] == "lead"
-        assert cache.begin("wedged")[0] == "lead"  # old flight was dropped

@@ -57,13 +57,15 @@ def test_cached_tables_are_answered_with_every_replica_down():
     try:
         async def main():
             async with running_gateway(router) as gateway:
-                assert (await post_annotate(gateway, warm)).status == 200
+                warm_json = [table_payload(table) for table in warm]
+                cold_json = table_payload(cold[0])
+                assert (await post_annotate(gateway, warm_json)).status == 200
                 for handle in launcher.launched:
                     handle.crash()
-                cached = await post_annotate(gateway, warm)
-                single = await post_annotate(gateway, warm[1])
-                uncached = await post_annotate(gateway, cold[0])
-                partial = await post_annotate(gateway, [warm[0], cold[0]])
+                cached = await post_annotate(gateway, warm_json)
+                single = await post_annotate(gateway, warm_json[1])
+                uncached = await post_annotate(gateway, cold_json)
+                partial = await post_annotate(gateway, [warm_json[0], cold_json])
                 return cached, single, uncached, partial, gateway.stats()
 
         cached, single, uncached, partial, stats = asyncio.run(main())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import threading
 import time
@@ -17,7 +18,13 @@ from repro.runtime.resilience import CircuitBreaker, RuntimePolicy
 from repro.serve import AnnotationService
 
 from tests.fleet.util import FakeService, make_tables, start_fleet
-from tests.gateway.util import FakeClock, get, post_annotate, running_gateway
+from tests.gateway.util import (
+    FakeClock,
+    get,
+    post_annotate,
+    running_gateway,
+    table_payload,
+)
 
 FAST_POLICY = RuntimePolicy(backoff_base_s=0.001, backoff_max_s=0.01)
 
@@ -266,7 +273,7 @@ class TestSharedCache:
         launcher, _supervisor, router = start_fleet(1)
         with router:
             table = make_tables(1)[0]
-            results = router.annotate_batch([table, dict(table), table])
+            results = router.annotate_batch([table, copy.deepcopy(table), table])
             assert results == [["label:t0"]] * 3
             served = sum(count for count, _ in
                          launcher.launched[0].service.calls)
@@ -280,7 +287,7 @@ class TestSharedCache:
         def slow(tables, budget_s):
             entered.set()
             hold.wait(10.0)
-            return [[f"label:{t['table_id']}"] for t in tables]
+            return [[f"label:{t.table_id}"] for t in tables]
 
         launcher, _supervisor, router = start_fleet(
             2, service_factory=lambda name: FakeService(name, annotate=slow))
@@ -474,7 +481,8 @@ class TestGatewaySeam:
                 try:
                     for index in range(replicas):
                         requests.append(asyncio.create_task(post_annotate(
-                            gateway, make_tables(1, prefix=f"r{index}-")[0])))
+                            gateway,
+                            table_payload(make_tables(1, prefix=f"r{index}-")[0]))))
                         # Dispatched while the earlier requests still hold
                         # their replicas: no window, and a free slot each.
                         assert await asyncio.to_thread(entered.acquire, timeout=5.0)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core.errors import WorkerCrashed
+from repro.core.errors import ReplicaUnavailable, WorkerCrashed
 from repro.runtime.resilience import RuntimePolicy
 from repro.fleet.supervisor import ReplicaSupervisor, ThreadLauncher
 from repro.fleet.wire import ping
@@ -86,6 +86,32 @@ class TestHeartbeat:
             assert replacement.address != old_address
             # The replacement actually serves.
             ping(replacement.address, deadline_s=time.monotonic() + 5.0)
+
+    def test_replica_whose_health_raises_fails_ping_and_is_respawned(self):
+        # The replica answers ping with a RuntimeError payload.  The
+        # heartbeat catches only ServingError, so ping must raise it as
+        # ReplicaUnavailable: the sweep respawns the slot instead of dying.
+        class BrokenHealth(FakeService):
+            def health(self):
+                raise RuntimeError("health probe crashed")
+
+        def factory(name):
+            first = not launcher.launched
+            return BrokenHealth(name) if first else FakeService(name)
+
+        launcher = ThreadLauncher(factory)
+        _launcher, supervisor = make_supervisor(1, launcher=launcher)
+        with supervisor:
+            broken = supervisor.members()[0]
+            with pytest.raises(ReplicaUnavailable, match="RuntimeError"):
+                ping(broken.address, deadline_s=time.monotonic() + 5.0)
+            supervisor.check_now()
+            stats = supervisor.stats()
+            assert stats["heartbeat_failures"] == 1
+            assert stats["restarts"] == 1
+            assert stats["up"] == 1
+            supervisor.check_now()  # the replacement answers its heartbeat
+            assert supervisor.stats()["heartbeats"] == 1
 
     def test_spawn_accounting_balances_after_respawns(self):
         launcher, supervisor = make_supervisor(2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.data.table import Column, Table
 from repro.fleet import FleetRouter, ReplicaSupervisor, SharedResultsCache, ThreadLauncher
 
 
@@ -49,7 +50,7 @@ class FakeService:
             self.calls.append((len(tables), budget_s))
         if self._annotate is not None:
             return self._annotate(tables, budget_s)
-        return [[f"label:{_table_id(table)}"] for table in tables]
+        return [[f"label:{table.table_id}"] for table in tables]
 
     def stats(self) -> FakeStats:
         return FakeStats()
@@ -61,16 +62,10 @@ class FakeService:
         self.closed = True
 
 
-def _table_id(table) -> str:
-    if isinstance(table, dict):
-        return str(table.get("table_id", "?"))
-    return str(getattr(table, "table_id", "?"))
-
-
-def make_tables(count: int, prefix: str = "t") -> list[dict]:
+def make_tables(count: int, prefix: str = "t") -> list[Table]:
     return [
-        {"table_id": f"{prefix}{index}",
-         "columns": [{"name": "c0", "cells": [f"cell-{index}"]}]}
+        Table(table_id=f"{prefix}{index}",
+              columns=[Column(name="c0", cells=[f"cell-{index}"])])
         for index in range(count)
     ]
 

@@ -51,14 +51,16 @@ class TestConformance:
             backend.add_document("e01", "duplicate")
 
     def test_finalize_idempotent_and_invalidated_by_add(self, backend):
-        assert not backend.is_finalized
         backend.finalize()
-        assert backend.is_finalized
+        first = backend.search("alpha", top_k=20)
         backend.finalize()
-        assert backend.is_finalized
+        assert backend.search("alpha", top_k=20) == first
         backend.add_document("e99", "alpha")
-        assert not backend.is_finalized
-        assert backend.search("alpha", top_k=20)  # self-finalizes
+        # The next search recompiles: the new document ranks with the rest.
+        hits = backend.search("alpha", top_k=20)
+        assert [hit.doc_id for hit in hits] == [
+            hit.doc_id for hit in reference_search(backend, "alpha", top_k=20)]
+        assert "e99" in {hit.doc_id for hit in hits}
 
     def test_empty_query_and_nonpositive_top_k(self, backend):
         assert backend.search("", top_k=5) == []
@@ -122,7 +124,6 @@ class TestConformance:
         restored = BM25Index.from_state(state)
         assert len(restored) == len(backend)
         assert "e01" in restored
-        assert restored.is_finalized
         assert restored.search_batch(queries, top_k=5) == expected
 
     def test_restored_backend_is_query_only(self, backend):

@@ -81,12 +81,6 @@ class TestScores:
     def test_best_link_none_for_numbers(self, small_linker):
         assert small_linker.best_link("42") is None
 
-    def test_linking_score_zero_without_links(self, small_linker):
-        assert small_linker.linking_score("42") == 0.0
-
-    def test_linking_score_positive_for_match(self, small_linker):
-        assert small_linker.linking_score("Peter Steele") > 0.0
-
     def test_cache_reused_for_repeated_mentions(self, small_linker):
         small_linker.link("Peter Steele")
         before = small_linker.cache_info().hits

@@ -65,11 +65,6 @@ class TestTensorBasics:
     def test_item_returns_float(self):
         assert Tensor([2.5]).item() == pytest.approx(2.5)
 
-    def test_detach_cuts_graph(self):
-        tensor = Tensor([1.0], requires_grad=True)
-        detached = (tensor * 2).detach()
-        assert not detached.requires_grad
-
     def test_len_and_size(self):
         tensor = Tensor(np.zeros((4, 5)))
         assert len(tensor) == 4
@@ -321,9 +316,6 @@ class TestNonLinearities:
     def test_relu_clamps_negatives(self):
         np.testing.assert_allclose(Tensor([-1.0, 0.0, 2.0]).relu().data, [0.0, 0.0, 2.0])
 
-    def test_sigmoid_midpoint(self):
-        assert Tensor([0.0]).sigmoid().item() == pytest.approx(0.5)
-
     def test_exp_gradient(self):
         check_gradient(lambda t: t.exp().sum(), (3, 2))
 
@@ -336,25 +328,11 @@ class TestNonLinearities:
     def test_relu_gradient(self):
         check_gradient(lambda t: (t.relu() ** 2).sum(), (4, 4), seed=5)
 
-    def test_sigmoid_gradient(self):
-        check_gradient(lambda t: t.sigmoid().sum(), (2, 3))
-
 
 class TestConcatStack:
-    def test_concat_values(self):
-        result = Tensor.concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0)
-        np.testing.assert_allclose(result.data, [1.0, 2.0, 3.0])
-
     def test_stack_values(self):
         result = Tensor.stack([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])], axis=0)
         assert result.shape == (2, 2)
-
-    def test_concat_gradient(self):
-        left = Tensor(np.ones((2, 2)), requires_grad=True)
-        right = Tensor(np.ones((3, 2)), requires_grad=True)
-        Tensor.concat([left, right], axis=0).sum().backward()
-        np.testing.assert_allclose(left.grad, np.ones((2, 2)))
-        np.testing.assert_allclose(right.grad, np.ones((3, 2)))
 
     def test_stack_gradient(self):
         parts = [Tensor(np.full((2,), float(i)), requires_grad=True) for i in range(3)]

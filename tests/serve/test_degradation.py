@@ -149,7 +149,7 @@ class TestBundleValidation:
         manifest = json.loads((clone / "manifest.json").read_text())
         del manifest["artifacts"]
         (clone / "manifest.json").write_text(json.dumps(manifest))
-        assert ServiceBundle.load(clone).backend.is_finalized
+        assert len(ServiceBundle.load(clone).backend) > 0
 
     def test_linker_config_naming_the_engine_still_loads(self, bundle_dir,
                                                         serve_tables, tmp_path):

@@ -98,7 +98,6 @@ class TestServiceBundle:
         assert bundle.config == fitted.config
         assert bundle.label_vocabulary == fitted.label_vocabulary
         assert bundle.tokenizer.vocab_size == fitted.tokenizer.vocab_size
-        assert bundle.backend.is_finalized
         assert len(bundle.backend) == len(fitted.linker.index)
         assert bundle.linker_config == fitted.linker.config
         assert bundle.metadata["graph_entities"] == len(fitted.graph)
@@ -192,10 +191,6 @@ class TestAnnotationService:
         assert stats.useful_tokens > 0
         payload = stats.to_dict()
         assert payload["bucket_fill"] == stats.bucket_fill
-        service.reset_stats()
-        zeroed = service.stats()
-        assert zeroed.requests == 0 and zeroed.tables == 0
-        assert zeroed.cache_hits == 0 and zeroed.cache_misses == 0
 
 
 def _clone_bundle(bundle_dir, target):
@@ -338,9 +333,9 @@ class TestConcurrentAnnotate:
         import time as _time
 
         shared = serve_tables[0]
+        with AnnotationService.load(bundle_dir) as reference:
+            expected = reference.annotate(shared)
         with AnnotationService.load(bundle_dir, cache_size=0) as service:
-            expected = service.annotate(shared)
-            service.reset_stats()
             prepared: list[int] = []
             release = threading.Event()
             original = service._prepare
@@ -378,10 +373,9 @@ class TestConcurrentAnnotate:
         # threads; every request/table/hit/miss must be accounted for.
         import threading
 
+        with AnnotationService.load(bundle_dir) as reference:
+            expected = [reference.annotate(table) for table in serve_tables]
         service = AnnotationService.load(bundle_dir)
-        expected = [service.annotate(table) for table in serve_tables]
-        service.reset_stats()
-        service._cache.clear()
 
         n_threads, rounds = 8, 5
         failures: list = []

@@ -91,7 +91,7 @@ class TestEmptySubstrates:
         graph = KnowledgeGraph()
         linker = EntityLinker(graph, LinkerConfig(max_candidates=3))
         assert linker.link("Peter Steele") == []
-        assert linker.linking_score("Peter Steele") == 0.0
+        assert linker.best_link("Peter Steele") is None
 
     def test_tokenizer_trained_on_empty_corpus_still_usable(self):
         tokenizer = WordPieceTokenizer.train([], vocab_size=50)

@@ -55,18 +55,3 @@ class TestVocabulary:
         with pytest.raises(IndexError):
             Vocabulary().id_to_token(100)
 
-
-class TestBuildFromCorpus:
-    def test_frequency_ordering(self):
-        vocab = Vocabulary.build_from_corpus([["b", "a", "a"], ["a", "b", "c"]])
-        # 'a' occurs most often, so it gets the first non-special id.
-        assert vocab.token_to_id("a") < vocab.token_to_id("b") < vocab.token_to_id("c")
-
-    def test_min_frequency_filters(self):
-        vocab = Vocabulary.build_from_corpus([["rare", "common", "common"]], min_frequency=2)
-        assert "common" in vocab and "rare" not in vocab
-
-    def test_max_size_respected(self):
-        streams = [[f"token{i}" for i in range(100)]]
-        vocab = Vocabulary.build_from_corpus(streams, max_size=20)
-        assert len(vocab) <= 20
