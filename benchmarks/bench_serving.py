@@ -27,6 +27,11 @@ one event loop:
   (``fleet.cache_hit_p50_ms`` and the miss-over-hit
   ``fleet.cache_hit_speedup``).
 
+The single-process service and every replica run with ``cache_size=0``:
+the request pool repeats, and a seat's answer cache would otherwise let the
+gateway answer the measured loops at its door.  So every number except the
+hit path measures Part 1 (over warm linker memos) plus Part 2.
+
 Results go to JSON (``scripts/run_benchmarks.sh`` commits them as
 ``BENCH_serving.json``); ``scripts/check_bench_regression.py`` gates the
 hardware-independent ratios per PR.
@@ -50,6 +55,8 @@ from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig, HttpConnectio
 
 CLIENT_CONNECTIONS = 8
 OVERLOAD_FACTORS = {"overload_x0_5": 0.5, "overload_x1": 1.0, "overload_x2": 2.0}
+#: Measured laps over the request pool on the fleet's miss and hit paths.
+MISS_LAPS, HIT_LAPS = 12, 96
 
 
 # --------------------------------------------------------------------------- #
@@ -77,8 +84,8 @@ def build_service(seed: int, n_tables: int, max_batch: int):
     )
     annotator = KGLinkAnnotator(world.graph, config)
     annotator.fit(train)
-    service = annotator.into_service(max_batch=max_batch)
-    service.annotate_batch(serve_tables)  # warm the Part-1 cache
+    service = annotator.into_service(max_batch=max_batch, cache_size=0)
+    service.annotate_batch(serve_tables)  # warm the linker and Part-1 memos
     return service, serve_tables, annotator
 
 
@@ -238,15 +245,13 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
     disabled (``maxsize=0``) so every request travels the wire to a replica
     — the fan-out scaling number — and one with the cache warmed so the
     measured loop is answered from router memory — the hit-path latency.
-    A hit is answered at the gateway's door (``FleetRouter.cached`` on the
-    event loop), with no admission queue, batch or executor thread; the
-    clients share that loop, so their own cost is part of the number.
-
-    The "miss path" bypasses only the router's cache.  Each replica's
-    service keeps its own prepared-example cache, which the warm-up pass
-    fills, so in the measured loop replicas skip Part 1 and run only the
-    PLM: ``fleet.tables_per_second`` and ``fleet.scaling_2_replicas``
-    measure Part 2 plus the wire, not Part 1.
+    A hit is answered at the gateway's door (the router cache's ``lookup``
+    on the event loop), with no admission queue, batch or executor thread;
+    the clients share that loop, so their own cost is part of the number.
+    A hit costs a tenth of a miss, so the hit loop runs ``HIT_LAPS`` laps
+    of the pool, eight times ``MISS_LAPS``, for its p50 to resolve.
+    Replicas start with ``cache_size=0``, as ``python -m repro.fleet``
+    starts them, so a miss runs Part 1 and Part 2 in a replica.
     """
     from repro.fleet import (
         FleetRouter,
@@ -257,7 +262,8 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
 
     def fleet_router(cache_size: int) -> FleetRouter:
         launcher = ProcessLauncher(
-            bundle_dir, service_kwargs={"max_batch": service_max_batch}
+            bundle_dir,
+            service_kwargs={"max_batch": service_max_batch, "cache_size": 0},
         )
         supervisor = ReplicaSupervisor(launcher, replicas,
                                        heartbeat_interval_s=60.0)
@@ -268,16 +274,16 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
 
     config = GatewayConfig(port=0, max_batch=max_batch, default_deadline_ms=0.0)
 
-    async def measure(router) -> dict:
+    async def measure(router, laps: int) -> dict:
         async with Gateway(router, config) as gateway:
             await closed_loop(gateway.port, payloads, len(payloads))  # warm-up
             return await closed_loop(gateway.port, payloads,
-                                     12 * len(payloads))
+                                     laps * len(payloads))
 
     # Miss path: every request is annotated by a replica.
     router = fleet_router(0)
     try:
-        nocache = asyncio.run(measure(router))
+        nocache = asyncio.run(measure(router, MISS_LAPS))
     finally:
         router.close()
 
@@ -285,7 +291,7 @@ def bench_fleet(bundle_dir, payloads: list[dict], *, replicas: int,
     # the measured loop from router memory without touching a replica.
     router = fleet_router(4096)
     try:
-        cached = asyncio.run(measure(router))
+        cached = asyncio.run(measure(router, HIT_LAPS))
         cache_stats = router.stats().results_cache
     finally:
         router.close()

@@ -103,7 +103,10 @@ def main() -> None:
         client = ReplicaClient(address, name=name, default_timeout_s=30.0)
         return FaultyEndpoint(client, plan, name=name)
 
-    launcher = ProcessLauncher(bundle_dir, service_kwargs={"max_batch": 16})
+    # cache_size=0, as `python -m repro.fleet` starts them: the router's
+    # results cache is the fleet's only answer cache.
+    launcher = ProcessLauncher(bundle_dir,
+                               service_kwargs={"max_batch": 16, "cache_size": 0})
     supervisor = ReplicaSupervisor(launcher, replicas=2)
     supervisor.start()
     router = FleetRouter(supervisor, own_supervisor=True,
@@ -261,14 +264,14 @@ async def fleet_demo(router: FleetRouter, tables, predictions) -> None:
 
         stats = router.stats()
         cache = stats.results_cache
-        print(f"   routing: {stats.dispatches} replica dispatches for "
-              f"{stats.requests} requests; shared cache "
+        print(f"   routing: {stats.dispatches} replica dispatches for the "
+              f"{stats.requests} requests that reached the router; shared cache "
               f"{cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses"
               f" / {cache.get('coalesced', 0)} coalesced — the warm pass "
               "was answered from router memory")
         door = gateway.stats()["answered_from_cache"]
         print(f"   gateway door: {door} all-hit requests answered on the "
-              "event loop, with no micro-batch or executor thread")
+              "event loop, with no micro-batch, executor thread or router call")
         fleet = stats.supervisor
         print(f"   supervisor: spawned={fleet.get('spawned', 0)} "
               f"up={fleet.get('up', 0)} restarts={fleet.get('restarts', 0)} "

@@ -1,23 +1,22 @@
-"""The one table cache: a bounded LRU by table content, with single-flight.
+"""The one answer cache: a bounded LRU by table content, with single-flight.
 
-KGLink's Part 1 is the expensive step, so each serving tier caches per
-table, keyed by :func:`repro.data.table.table_key` (a digest of the id and
-every column's name, cells and label — never the id alone).
-:class:`~repro.serve.service.AnnotationService` caches prepared examples,
-so a warm table skips Part 1 but still runs the PLM;
-:class:`~repro.fleet.router.FleetRouter` caches predictions in front of the
-whole fleet, so a repeat table never reaches a replica.
+KGLink's Part 1 (KG linking) and Part 2 (the PLM) are deterministic for a
+given table, so each serving seat —
+:class:`~repro.serve.service.AnnotationService` and
+:class:`~repro.fleet.router.FleetRouter` — caches *answers* in its public
+``cache``, keyed by :func:`repro.data.table.table_key` (a digest of the id
+and every column's name, cells and label — never the id alone).
 
-Both call :meth:`SharedResultsCache.resolve`: finished values sit in an LRU
-(a hit refreshes recency), and concurrent misses for one key collapse to a
-single *lead* computation that later callers *join* (single-flight).  A
-failed lead hands its error to the joiners and clears the flight, so the
-next request for that key leads afresh.  The router also calls
-:meth:`SharedResultsCache.lookup`, which never blocks: it answers a batch
-only when every table is already stored, so the gateway can serve an
-all-hit request on its event loop; anything else still goes to ``resolve``.
-Every operation holds the cache's own lock, so counters and recency order
-stay consistent across threads.
+Seats call :meth:`SharedResultsCache.resolve`: finished values sit in an
+LRU (a hit refreshes recency), and concurrent misses for one key collapse
+to a single *lead* computation that later callers *join* (single-flight).
+A failed lead hands its error to the joiners and clears the flight, so the
+next request for that key leads afresh.  The gateway calls
+:meth:`SharedResultsCache.lookup` on its seat's cache: it never blocks and
+answers a batch only when every table is stored, so an all-hit request is
+served on the event loop; anything else goes to ``resolve``.  Every
+operation holds the cache's own lock, so counters and recency order stay
+consistent across threads.
 """
 
 from __future__ import annotations

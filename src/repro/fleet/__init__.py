@@ -13,9 +13,9 @@ One gateway process, N worker processes, one shared results cache:
   one circuit breaker per replica, transparent failover on worker death,
   and a :class:`~repro.core.cache.SharedResultsCache` of per-table
   predictions with single-flight de-dup across the whole fleet (re-exported
-  here).  Behind it, each replica's service keeps its own cache of
-  prepared examples, so a table new to the router but not to the replica
-  still skips Part 1.
+  here).  It is the fleet's only answer cache: ``python -m repro.fleet``
+  starts its replicas with ``cache_size=0``, since a replica sees only the
+  router's misses.
 
 ``python -m repro.fleet --bundle bundle/ --replicas 2`` stands the whole
 tier up; SIGTERM drains it gracefully (gateway stops admitting → in-flight

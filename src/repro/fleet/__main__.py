@@ -84,7 +84,9 @@ def main(argv: list[str] | None = None) -> int:
     policy = RuntimePolicy(timeout_s=args.timeout_s)
     launcher = ProcessLauncher(
         args.bundle,
-        service_kwargs={"max_batch": args.service_max_batch},
+        # The router's cache is the fleet's only answer cache: a replica
+        # sees only the router's misses, so its own cache would never hit.
+        service_kwargs={"max_batch": args.service_max_batch, "cache_size": 0},
     )
     supervisor = ReplicaSupervisor(
         launcher, args.replicas, policy=policy,

@@ -2,12 +2,11 @@
 
 :class:`FleetRouter` satisfies the duck type the gateway serves —
 ``annotate_batch(tables, budget_s=...)``, ``stats()`` / ``health()``
-(objects with ``to_dict()``), ``close()``, ``max_batch`` — so it drops into
-:class:`~repro.gateway.app.Gateway` where a single in-process
-:class:`~repro.serve.service.AnnotationService` normally sits.  It adds the
-seat's one optional method, ``cached(tables)``: the answer when every table
-is already in the results cache, else ``None``, without blocking, so the
-gateway answers all-hit requests on its event loop.  Behind that surface:
+(objects with ``to_dict()``), ``close()``, ``max_batch`` and the answer
+``cache`` — so it drops into :class:`~repro.gateway.app.Gateway` where a
+single in-process :class:`~repro.serve.service.AnnotationService` normally
+sits, and the gateway answers all-hit requests from that cache on its event
+loop before they reach the router.  Behind that surface:
 
 * **least-outstanding routing** — each batch goes to the live replica with
   the fewest requests currently in flight (ties break by slot order), so a
@@ -27,10 +26,13 @@ gateway answers all-hit requests on its event loop.  Behind that surface:
   *application* errors (the replica answered; retrying elsewhere would
   produce the same answer) propagate to the caller;
 * a **shared results cache** (:class:`~repro.core.cache.SharedResultsCache`)
-  in front of the whole fleet: repeat tables are answered from memory, and
-  concurrent duplicates collapse to a single dispatch (single-flight), with
-  hit/miss/coalesced counters surfaced through ``stats()`` for ``/stats``
-  and ``/metrics``.
+  in front of the whole fleet, the fleet's only answer cache (the CLI
+  starts replicas with ``cache_size=0``): repeat tables are answered from
+  memory, and concurrent duplicates collapse to a single dispatch
+  (single-flight), with hit/miss/coalesced counters surfaced through
+  ``stats()`` for ``/stats`` and ``/metrics``.  ``requests``/``tables``
+  count only the batches that reach :meth:`FleetRouter.annotate_batch`;
+  the gateway's door answers show up in the cache's ``hits``.
 
 Membership comes from a :class:`~repro.fleet.supervisor.ReplicaSupervisor`:
 the router reads ``members()`` fresh on every dispatch, so respawned
@@ -146,7 +148,7 @@ class FleetRouter:
     """Route ``annotate_batch`` calls across a supervised replica fleet.
 
     Thread-safe: the gateway's micro-batcher calls ``annotate_batch`` from
-    worker threads while the event loop calls ``cached()`` and reads
+    worker threads while the event loop reads ``cache`` and
     ``stats()`` / ``health()``; each takes only short-held locks.
     ``endpoint_factory(name, address)`` is injectable so tests can wrap the
     real :class:`~repro.fleet.wire.ReplicaClient` in a
@@ -268,25 +270,6 @@ class FleetRouter:
                 tables, lambda leads: self._dispatch(leads, deadline_s),
                 deadline_s=deadline_s, clock=self._clock,
             )
-
-    def cached(self, tables: Sequence[Any]) -> list | None:
-        """The predictions for ``tables`` if every one is cached, else ``None``.
-
-        Never blocks (:meth:`~repro.core.cache.SharedResultsCache.lookup`
-        plus the router's counter lock), so the gateway calls it on its event
-        loop.  An answer counts as a request, like :meth:`annotate_batch`;
-        ``None`` — a closed router, any miss or in-flight key — counts
-        nothing and leaves the batch to :meth:`annotate_batch`.
-        """
-        with self._lifecycle:
-            if self._closed:
-                return None
-        values = self.cache.lookup(tables)
-        if values is not None:
-            with self._lock:
-                self._requests += 1
-                self._tables += len(tables)
-        return values
 
     def _dispatch(self, tables: Sequence[Any], deadline_s: float) -> list:
         """Send one sub-batch to the best replica, failing over on death."""

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deadline for requests without an X-Deadline-Ms "
                              "header (default: none)")
     parser.add_argument("--cache-size", type=int, default=1024,
-                        help="prepared-example cache bound (0 stores nothing)")
+                        help="answer cache bound (0 stores nothing)")
     parser.add_argument("--service-max-batch", type=int, default=16,
                         help="PLM micro-batch size inside the service")
     return parser

@@ -8,9 +8,9 @@ made *failure* one.  The pieces, front to back:
   requests with the stdlib-only :mod:`repro.gateway.http` layer;
 * ``POST /annotate`` requests get a :class:`~repro.gateway.admission.Deadline`
   (``X-Deadline-Ms`` header, else the configured default, else the seat's
-  policy ``timeout_s`` when it has one); a seat with ``cached`` (the fleet
-  router) answers a request whose every table is in its results cache right
-  there on the event loop; the rest enter the bounded
+  policy ``timeout_s`` when it has one); a request whose every table is
+  in the seat's answer ``cache`` (the service's, or the fleet router's) is
+  answered right there on the event loop; the rest enter the bounded
   :class:`~repro.gateway.admission.AdmissionQueue` — or are shed
   oldest-deadline-first with a typed 503 + ``Retry-After``;
 * the :class:`~repro.gateway.batcher.MicroBatcher` coalesces queued requests
@@ -173,11 +173,13 @@ class Gateway:
     ``annotate_batch(tables, budget_s=...)``, ``stats()``, ``health()`` and
     ``close()`` — which is exactly
     :class:`~repro.serve.service.AnnotationService`, but also lets tests
-    stand in a scripted fake.  An optional non-blocking ``cached(tables)``
-    (:meth:`~repro.fleet.router.FleetRouter.cached`) returns the predictions
-    when every table is already cached, else ``None``; the gateway calls it
-    on the event loop before admission, so an all-hit request skips the
-    queue, the batcher and the executor thread.
+    stand in a scripted fake.  A seat's optional answer ``cache`` (a
+    :class:`~repro.core.cache.SharedResultsCache`, as on the service and
+    the fleet router) is read with its never-blocking ``lookup`` on the
+    event loop before admission, so an all-hit request skips the queue, the
+    batcher, the executor thread and the seat's request counters.  The door
+    reads memory only: a seat closed by hand under a live gateway still
+    answers all-hit requests; the rest get its ``ServiceClosed``.
     """
 
     def __init__(self, service, config: GatewayConfig | None = None, *,
@@ -397,8 +399,8 @@ class Gateway:
             return self._error_response(GatewayOverloaded(
                 f"gateway is {self._state}; retry another replica"
             ))
-        cached = getattr(self.service, "cached", None)
-        predictions = cached(tables) if cached is not None else None
+        cache = getattr(self.service, "cache", None)
+        predictions = cache.lookup(tables) if cache is not None else None
         if predictions is not None:
             self._counters.answered_from_cache += 1
             self._counters.completed += 1

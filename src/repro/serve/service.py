@@ -15,14 +15,15 @@ into the existing inference machinery:
   serially in the calling process.  One service is one process's worth of
   work: to use more processes, run replicas behind a
   :class:`~repro.fleet.FleetRouter`;
-* prepared tables (Part-1 output serialised into model-ready arrays) are
-  memoised in a :class:`~repro.core.cache.SharedResultsCache` keyed by
-  table content (:func:`~repro.data.table.table_key`, so a client reusing
-  an id for a different table never gets another table's answer).  A warm
-  table skips candidate extraction *and* serialisation but still runs the
-  PLM; a table repeated within a request, or requested by two threads at
-  once, is prepared once.  :meth:`AnnotationService.stats` reports
-  per-request telemetry
+* answers (one label list per table) are memoised in the public
+  ``cache``, a :class:`~repro.core.cache.SharedResultsCache` keyed by table
+  content (:func:`~repro.data.table.table_key`, so a client reusing an id
+  for a different table never gets another table's answer).  A warm table
+  runs neither Part 1 nor the PLM; a table repeated within a request, or
+  requested by two threads at once, is annotated once.  The
+  :class:`~repro.gateway.app.Gateway` reads the same cache at its door, so
+  an all-hit HTTP request never reaches :meth:`annotate_batch` at all.
+  :meth:`AnnotationService.stats` reports per-request telemetry
   (:class:`ServiceStats`: Part-1/encode latency, bucket fill, cache hits),
   and :meth:`AnnotationService.health` reports ``healthy`` or, once
   closed, ``failed``.  Fault handling (deadlines on the wire, failover,
@@ -83,11 +84,11 @@ class ServiceStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Prepared-example cache hit rate over the service lifetime.
+        """Answer cache hit rate over the service lifetime.
 
         ``cache_hits`` counts tables answered from the cache *or* from
-        another request's in-flight preparation; ``cache_misses`` counts the
-        tables this service prepared.
+        another request's in-flight computation, gateway door answers
+        included; ``cache_misses`` counts the tables this service annotated.
         """
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
@@ -150,8 +151,8 @@ class AnnotationService:
     max_batch:
         Micro-batch size for Part-2 inference.
     cache_size:
-        Bound of the prepared-example cache (``<= 0`` stores nothing;
-        identical tables in flight at once are still prepared once).
+        Bound of the answer cache (``<= 0`` stores nothing; identical
+        tables in flight at once are still annotated once).
     """
 
     def __init__(self, bundle: ServiceBundle, max_batch: int = 16,
@@ -171,7 +172,7 @@ class AnnotationService:
             config.training_config(),
         )
         bundle.model.eval()
-        self._cache = SharedResultsCache(maxsize=cache_size)
+        self.cache = SharedResultsCache(maxsize=cache_size)
         # close() drains: annotate calls register here while running, and
         # close() waits for the count to hit zero before returning.
         # (Condition's default lock is an RLock, so _ensure_open may
@@ -274,7 +275,7 @@ class AnnotationService:
     # internals
     # ------------------------------------------------------------------ #
     def _prepare(self, tables: list[Table]) -> list[PreparedExample]:
-        """Part 1 + serialisation for ``tables``: the cache's lead tables."""
+        """Part 1 + serialisation for ``tables``."""
         with self._prepare_lock:
             return [
                 self.trainer.prepare_example(processed, with_ground_truth=False)
@@ -283,8 +284,6 @@ class AnnotationService:
 
     def _predict(self, examples: list[PreparedExample]) -> list[list[str]]:
         """Part 2 for prepared examples (micro-batched, length-bucketed)."""
-        if not examples:
-            return []
         start = time.perf_counter()
         with self._predict_lock:
             predictions = self.trainer.predict(examples, batch_size=self.max_batch)
@@ -295,6 +294,16 @@ class AnnotationService:
             self._useful_tokens += int(stats.get("useful_tokens", 0))
             self._padded_tokens += int(stats.get("padded_tokens", 0))
         return predictions
+
+    def _annotate_leads(self, tables: list[Table],
+                        deadline_s: float | None) -> list[list[str]]:
+        """Part 1 then Part 2 for the tables the answer cache lets us lead."""
+        start = time.perf_counter()
+        examples = self._prepare(tables)
+        with self._stats_lock:
+            self._part1_seconds += time.perf_counter() - start
+        self._check_deadline(deadline_s, "after Part-1 prepare")
+        return self._predict(examples)
 
     # ------------------------------------------------------------------ #
     # the serving API
@@ -312,7 +321,9 @@ class AnnotationService:
         after Part-1 prepare, after PLM inference — and a blown budget
         raises :class:`~repro.core.errors.DeadlineExceeded`; the worst-case
         overshoot between two checks is one stage of this request, never an
-        unbounded hang.
+        unbounded hang.  The Part-1 check runs inside the lead computation,
+        so a lead that blows its budget there fails every request that
+        joined it; the next request for those tables leads afresh.
         """
         deadline_s = None if budget_s is None else time.monotonic() + budget_s
         with self._track():
@@ -321,24 +332,20 @@ class AnnotationService:
             with self._stats_lock:
                 self._requests += 1
                 self._tables += len(tables)
-            if not tables:
-                return []
-            start = time.perf_counter()
-            prepared = self._cache.resolve(tables, self._prepare,
-                                           deadline_s=deadline_s)
-            with self._stats_lock:
-                self._part1_seconds += time.perf_counter() - start
-            self._check_deadline(deadline_s, "after Part-1 prepare")
-            predictions = self._predict(prepared)
+            predictions = self.cache.resolve(
+                tables, lambda leads: self._annotate_leads(leads, deadline_s),
+                deadline_s=deadline_s,
+            )
             self._check_deadline(deadline_s, "after PLM inference")
-            return predictions
+            # Copies, so a caller that edits its answer cannot edit the cache.
+            return [list(labels) for labels in predictions]
 
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
     def stats(self) -> ServiceStats:
         """Cumulative telemetry since start."""
-        cache = self._cache.stats()
+        cache = self.cache.stats()
         with self._stats_lock:
             return ServiceStats(
                 requests=self._requests,

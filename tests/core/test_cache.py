@@ -1,10 +1,12 @@
-"""Tests of the one table cache: LRU bounds, counters, ``lookup`` and ``resolve``.
+"""Tests of the one table cache: single-flight, LRU bounds, counters,
+``lookup`` and ``resolve``.
 
-The service and the router resolve every batch through
-:class:`SharedResultsCache`, from whatever threads call them; the counters
-feed telemetry dashboards, so lost increments are user-visible bugs, not
-cosmetics.  The single-flight protocol itself (``begin``/``complete``/
-``fail``) is pinned in ``tests/fleet/test_cache.py``.
+Every serving seat (the service and the fleet router) resolves its batches
+through :class:`SharedResultsCache` from whatever threads call it, and the
+gateway's door reads it with ``lookup``; the counters feed telemetry
+dashboards, so lost increments are user-visible bugs, not cosmetics.
+The content key itself (:func:`repro.data.table.table_key`) is pinned in
+``tests/data/test_table.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import time
 
 import pytest
 
-from repro.core.cache import SharedResultsCache
-from repro.core.errors import ReplicaUnavailable
+from repro.core.cache import Flight, SharedResultsCache
+from repro.core.errors import DeadlineExceeded, ReplicaUnavailable
 from repro.data.table import Column, Table, table_key
 
 
@@ -58,15 +60,94 @@ class TestBasics:
         assert cache.begin("a") == ("hit", 1)  # refresh "a": "b" is now LRU
         store(cache, "c", 3)
         assert cache.stats()["evictions"] == 1
+        assert cache.stats()["size"] == 2
         assert cache.begin("a") == ("hit", 1)
         assert cache.begin("c") == ("hit", 3)
         assert cache.begin("b")[0] == "lead"  # the least recently *used*
 
-    def test_zero_maxsize_disables(self):
+    def test_zero_maxsize_disables_storage_keeps_coalescing(self):
         cache = SharedResultsCache(maxsize=0)
-        store(cache, "a", 1)
+        outcome, flight = cache.begin("k")
+        assert outcome == "lead"
+        assert cache.begin("k")[0] == "join"  # coalescing still works
+        cache.complete("k", flight, "v")
         assert cache.stats()["size"] == 0
-        assert cache.begin("a")[0] == "lead"
+        assert cache.begin("k")[0] == "lead"  # nothing was stored
+
+    def test_counters_track_the_protocol(self):
+        cache = SharedResultsCache(maxsize=8)
+        _, flight = cache.begin("k")
+        cache.begin("k")
+        cache.complete("k", flight, "v")
+        cache.begin("k")
+        stats = cache.stats()
+        assert stats == {"hits": 1, "misses": 1, "coalesced": 1,
+                         "evictions": 0, "size": 1, "maxsize": 8}
+
+
+class TestSingleFlight:
+    def test_lead_then_hit(self):
+        cache = SharedResultsCache()
+        key = table_key(table("t0"))
+        outcome, flight = cache.begin(key)
+        assert outcome == "lead"
+        cache.complete(key, flight, [["x"]])
+        assert cache.begin(key) == ("hit", [["x"]])
+
+    def test_concurrent_miss_joins_the_lead(self):
+        cache = SharedResultsCache()
+        key = "k"
+        outcome, flight = cache.begin(key)
+        assert outcome == "lead"
+        joined, same_flight = cache.begin(key)
+        assert joined == "join"
+        assert same_flight is flight
+
+    def test_joiner_receives_published_value_across_threads(self):
+        cache = SharedResultsCache()
+        key = "k"
+        _, flight = cache.begin(key)
+        _, joined = cache.begin(key)
+        got: list = []
+
+        def wait():
+            got.append(joined.wait(deadline_s=time.monotonic() + 5.0))
+
+        thread = threading.Thread(target=wait)
+        thread.start()
+        cache.complete(key, flight, [["published"]])
+        thread.join(timeout=5.0)
+        assert got == [[["published"]]]
+
+    def test_joiner_deadline_is_its_own(self):
+        cache = SharedResultsCache()
+        _, flight = cache.begin("k")
+        _, joined = cache.begin("k")
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            joined.wait(deadline_s=start + 0.05)
+        assert time.monotonic() - start < 2.0
+        cache.fail("k", flight, ReplicaUnavailable("cleanup"))
+
+    def test_failed_lead_propagates_then_next_begin_leads_fresh(self):
+        cache = SharedResultsCache()
+        key = "k"
+        _, flight = cache.begin(key)
+        _, joined = cache.begin(key)
+        cache.fail(key, flight, ReplicaUnavailable("replica died"))
+        with pytest.raises(ReplicaUnavailable, match="replica died"):
+            joined.wait(deadline_s=time.monotonic() + 1.0)
+        # The key is not wedged: a new request starts a fresh lead.
+        outcome, fresh = cache.begin(key)
+        assert outcome == "lead"
+        assert fresh is not flight
+        cache.complete(key, fresh, [["recovered"]])
+        assert cache.begin(key) == ("hit", [["recovered"]])
+
+    def test_flight_wait_after_publish_returns_immediately(self):
+        flight = Flight()
+        flight.publish("v")
+        assert flight.wait(deadline_s=time.monotonic() - 1.0) == "v"
 
 
 class TestThreadSafety:

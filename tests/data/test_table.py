@@ -1,10 +1,10 @@
-"""Tests of the table data model."""
+"""Tests of the table data model and its content key."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.data.table import Column, Table
+from repro.data.table import Column, Table, table_key
 
 
 class TestColumn:
@@ -95,3 +95,35 @@ class TestTable:
         summary = toy_table.describe()
         assert summary["numeric_columns"] == 1
         assert summary["n_rows"] == 3
+
+
+def make_table(table_id="t0", name="c0", cells=("a", "b"), label=None) -> Table:
+    return Table(table_id=table_id,
+                 columns=[Column(name=name, cells=list(cells), label=label)])
+
+
+class TestTableKey:
+    def test_same_content_same_key(self):
+        assert table_key(make_table()) == table_key(make_table())
+
+    def test_table_id_is_part_of_identity(self):
+        assert table_key(make_table("t0")) != table_key(make_table("t1"))
+
+    def test_column_name_is_part_of_identity(self):
+        assert table_key(make_table(name="c0")) != table_key(
+            make_table(name="c1"))
+
+    def test_cells_are_part_of_identity(self):
+        assert table_key(make_table(cells=("a",))) != table_key(
+            make_table(cells=("a", "b")))
+
+    def test_cell_order_matters(self):
+        assert table_key(make_table(cells=("a", "b"))) != table_key(
+            make_table(cells=("b", "a")))
+
+    def test_cell_boundaries_do_not_alias(self):
+        assert table_key(make_table(cells=("ab", "c"))) != table_key(
+            make_table(cells=("a", "bc")))
+
+    def test_label_is_part_of_identity(self):
+        assert table_key(make_table(label="city")) != table_key(make_table())

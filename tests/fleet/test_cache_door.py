@@ -1,9 +1,11 @@
-"""All-hit requests are answered at the gateway's door by the fleet router.
+"""All-hit requests are answered at the gateway's door from the seat's cache.
 
-``FleetRouter.cached`` answers a request on the gateway's event loop when
-every table is in the shared results cache.  Those answers must match the
-in-process service bitwise, balance the router's counters, and keep coming
-while every replica is down; anything not cached still needs a replica.
+The gateway reads its seat's answer ``cache`` (the fleet router's shared
+results cache, or a single service's own) on its event loop and answers a
+request there when every table is stored.  Those answers must match the
+in-process service bitwise, leave the seat's request counters alone, and
+keep coming while every replica is down; anything not cached still needs
+the seat.
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ def test_door_answers_match_the_in_process_service(fleet_bundle, serve_tables,
         assert first == second == expected
         assert [entry["predictions"] for entry in listed] == expected
         assert stats["answered_from_cache"] == len(serve_tables) + 1
+        assert stats["completed"] == 2 * len(serve_tables) + 1
         assert stats["batches"] == len(serve_tables)
         fleet = router.stats()
-        assert fleet.requests == stats["completed"] == 2 * len(serve_tables) + 1
-        assert fleet.tables == 3 * len(serve_tables)
+        # Door answers never reach the router: it counts the first lap only,
+        # and the cache counts the second lap and the listed request as hits.
+        assert fleet.requests == fleet.tables == len(serve_tables)
         assert fleet.results_cache["misses"] == len(serve_tables)
         assert fleet.results_cache["hits"] == 2 * len(serve_tables)
-        assert fleet.tables == (fleet.results_cache["hits"]
-                                + fleet.results_cache["misses"])
+        assert stats["completed"] == fleet.requests + stats["answered_from_cache"]
     finally:
         router.close()
 
@@ -82,3 +85,26 @@ def test_cached_tables_are_answered_with_every_replica_down():
         assert router.stats().rejected == 2
     finally:
         router.close()
+
+
+def test_service_seat_answers_a_repeat_at_the_door(fleet_bundle, serve_tables):
+    with AnnotationService.load(fleet_bundle, cache_size=0) as uncached:
+        want = uncached.annotate_batch(serve_tables)
+    payload = [table_payload(table) for table in serve_tables]
+    with AnnotationService.load(fleet_bundle) as service:
+        async def main():
+            async with running_gateway(service) as gateway:
+                first = await post_annotate(gateway, payload)
+                before = (gateway.stats()["answered_from_cache"], service.stats())
+                repeat = await post_annotate(gateway, payload)
+                return first, repeat, before, gateway.stats()["answered_from_cache"]
+
+        first, repeat, (door_before, served_before), door_after = asyncio.run(main())
+        served_after = service.stats()
+    assert first.status == repeat.status == 200
+    assert [entry["predictions"] for entry in first.json()["results"]] == want
+    assert repeat.json() == first.json()
+    assert door_after == door_before + 1
+    assert served_after.requests == served_before.requests == 1
+    assert served_after.encode_seconds == served_before.encode_seconds
+    assert served_after.cache_hits == served_before.cache_hits + len(serve_tables)

@@ -23,7 +23,6 @@ from repro.core.errors import (
     ServiceClosed,
     ServingError,
 )
-from repro.data.table import table_key
 from repro.gateway import DEADLINE_HEADER, Gateway, GatewayConfig, status_for
 from repro.gateway.http import HttpConnection
 
@@ -34,6 +33,7 @@ from tests.gateway.util import (
     make_table,
     post_annotate,
     running_gateway,
+    seed_cache,
     table_payload,
 )
 
@@ -455,14 +455,14 @@ class TestDrain:
 
 
 class TestCacheDoor:
-    """A seat with ``cached`` answers all-hit requests before admission."""
+    """A seat's answer ``cache`` answers all-hit requests before admission."""
 
     def test_all_hit_requests_skip_the_batcher(self):
         async def main():
             service = CachingFakeService()
             tables = [make_table(f"t{index}") for index in range(3)]
             for table in tables:
-                service.store[table_key(table)] = [f"stored:{table.table_id}"]
+                seed_cache(service.cache, table, [f"stored:{table.table_id}"])
             async with running_gateway(service) as gateway:
                 single = await post_annotate(gateway, table_payload(tables[0]))
                 listed = await post_annotate(
@@ -492,7 +492,8 @@ class TestCacheDoor:
                 stats = gateway.stats()
             assert partial.status == repeat.status == 200
             assert partial.json() == repeat.json()
-            assert service.calls == [(1, None), (2, None)]  # no third batch
+            # The partial hit dispatched only its cold table; no third batch.
+            assert service.calls == [(1, None), (1, None)]
             assert stats["batches"] == 2
             assert stats["answered_from_cache"] == 1
             assert stats["completed"] == 3
@@ -522,7 +523,7 @@ class TestCacheDoor:
                 return [["ok"] for _ in tables]
 
             service = CachingFakeService(annotate=gated)
-            service.store[table_key(cached_table)] = ["stored"]
+            seed_cache(service.cache, cached_table, ["stored"])
             gateway = Gateway(service, GatewayConfig(port=0))
             await gateway.start()
             straggler = await HttpConnection.open("127.0.0.1", gateway.port)

@@ -2,7 +2,7 @@
 
 The gateway only touches a narrow serving surface (``annotate_batch``,
 ``stats``, ``health``, ``close``, ``max_batch``, ``policy`` and the optional
-``cached``), so most of the suite runs against :class:`FakeService` — a
+answer ``cache``), so most of the suite runs against :class:`FakeService` — a
 scriptable stand-in that records every call — and reserves the real trained
 service for the chaos tests.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 import contextlib
 import threading
 
-from repro.data.table import Column, Table, table_key
+from repro.core.cache import SharedResultsCache
+from repro.data.table import Column, Table
 from repro.gateway import Gateway, GatewayConfig, HttpConnection
 
 
@@ -80,27 +81,25 @@ class FakeService:
 
 
 class CachingFakeService(FakeService):
-    """A :class:`FakeService` with the fleet router's optional ``cached`` door.
+    """A :class:`FakeService` with an answer ``cache``, like the real seats.
 
-    Every table it annotates is remembered by content; ``cached`` answers a
-    batch only when every table is remembered, else ``None``.
+    ``cache`` is a real :class:`SharedResultsCache`: ``annotate_batch``
+    resolves through it, so only the tables it has not answered yet reach
+    the scripted batch (and ``calls``), and the gateway's door reads it.
     """
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.store: dict[str, list[str]] = {}
+        self.cache = SharedResultsCache()
 
     def annotate_batch(self, tables, budget_s=None):
-        results = super().annotate_batch(tables, budget_s)
-        with self._lock:
-            for table, result in zip(tables, results, strict=True):
-                self.store[table_key(table)] = result
-        return results
+        return self.cache.resolve(
+            tables, lambda leads: FakeService.annotate_batch(self, leads, budget_s))
 
-    def cached(self, tables):
-        with self._lock:
-            values = [self.store.get(table_key(table)) for table in tables]
-        return None if None in values else values
+
+def seed_cache(cache: SharedResultsCache, table: Table, answer: list[str]) -> None:
+    """Store ``answer`` for ``table`` as if a batch had computed it."""
+    cache.resolve([table], lambda leads: [answer])
 
 
 def make_table(table_id: str = "t", columns: int = 2) -> Table:

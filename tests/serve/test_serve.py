@@ -178,6 +178,16 @@ class TestAnnotationService:
         service.annotate(serve_tables[-1])  # most recent entry: a hit
         assert service.stats().cache_hits >= 1
 
+    def test_editing_an_answer_leaves_the_cached_answer_alone(self, bundle_dir,
+                                                              serve_tables):
+        service = AnnotationService.load(bundle_dir)
+        table = serve_tables[0]
+        first = service.annotate(table)
+        expected = list(first)
+        first[0] = "edited"
+        assert service.annotate(table) == expected
+        assert service.stats().cache_hits == 1
+
     def test_stats_telemetry(self, bundle_dir, serve_tables):
         service = AnnotationService.load(bundle_dir)
         service.annotate_batch(serve_tables)
@@ -356,7 +366,7 @@ class TestConcurrentAnnotate:
                 assert _time.monotonic() < give_up, "first request never led"
                 _time.sleep(0.001)
             threads[1].start()
-            while service._cache.stats()["coalesced"] < 1:
+            while service.cache.stats()["coalesced"] < 1:
                 assert _time.monotonic() < give_up, "second request never joined"
                 _time.sleep(0.001)
             release.set()
@@ -366,6 +376,58 @@ class TestConcurrentAnnotate:
             assert prepared == [1]
             stats = service.stats()
             assert (stats.cache_misses, stats.cache_hits) == (1, 1)
+
+    def test_deadline_expiring_in_a_lead_fails_its_joiner_then_next_call_leads(
+            self, bundle_dir, serve_tables):
+        # The Part-1 deadline check runs inside the lead's computation, so a
+        # lead that runs out of budget fails its flight: the joined request
+        # gets the lead's DeadlineExceeded, and the next call leads afresh.
+        import threading
+        import time as _time
+
+        from repro.core.errors import DeadlineExceeded
+
+        shared = serve_tables[0]
+        with AnnotationService.load(bundle_dir, cache_size=0) as reference:
+            expected = reference.annotate(shared)
+        with AnnotationService.load(bundle_dir) as service:
+            entered, release = threading.Event(), threading.Event()
+            original = service._prepare
+
+            def gated(tables):
+                entered.set()
+                assert release.wait(10.0)
+                return original(tables)
+
+            service._prepare = gated
+            errors: list = []
+
+            def call(budget_s):
+                try:
+                    service.annotate_batch([shared], budget_s=budget_s)
+                except DeadlineExceeded as error:
+                    errors.append(error)
+
+            lead = threading.Thread(target=call, args=(0.2,))
+            lead.start()
+            assert entered.wait(10.0)
+            joiner = threading.Thread(target=call, args=(30.0,))
+            joiner.start()
+            give_up = _time.monotonic() + 10.0
+            while service.cache.stats()["coalesced"] < 1:
+                assert _time.monotonic() < give_up, "second request never joined"
+                _time.sleep(0.001)
+            _time.sleep(0.25)  # the lead's budget runs out inside its compute
+            release.set()
+            lead.join(timeout=30.0)
+            joiner.join(timeout=30.0)
+            assert len(errors) == 2 and errors[0] is errors[1]
+            assert "after Part-1 prepare" in str(errors[0])
+            assert service.stats().encode_seconds == 0.0  # Part 2 never ran
+            service._prepare = original
+            assert service.annotate(shared) == expected
+            stats = service.cache.stats()
+            assert (stats["misses"], stats["coalesced"], stats["size"]) == (2, 1, 1)
 
     def test_stats_counters_survive_threaded_annotate(self, bundle_dir,
                                                       serve_tables):
