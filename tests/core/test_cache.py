@@ -6,7 +6,8 @@ through :class:`SharedResultsCache` from whatever threads call it, and the
 gateway's door reads it with ``lookup``; the counters feed telemetry
 dashboards, so lost increments are user-visible bugs, not cosmetics.
 The content key itself (:func:`repro.data.table.table_key`) is pinned in
-``tests/data/test_table.py``.
+``tests/data/test_table.py``; the router's cache bounds in
+``tests/fleet/test_cache.py``.
 """
 
 from __future__ import annotations
@@ -65,14 +66,11 @@ class TestBasics:
         assert cache.begin("c") == ("hit", 3)
         assert cache.begin("b")[0] == "lead"  # the least recently *used*
 
-    def test_zero_maxsize_disables_storage_keeps_coalescing(self):
+    def test_zero_maxsize_disables(self):
         cache = SharedResultsCache(maxsize=0)
-        outcome, flight = cache.begin("k")
-        assert outcome == "lead"
-        assert cache.begin("k")[0] == "join"  # coalescing still works
-        cache.complete("k", flight, "v")
+        store(cache, "a", 1)
         assert cache.stats()["size"] == 0
-        assert cache.begin("k")[0] == "lead"  # nothing was stored
+        assert cache.begin("a")[0] == "lead"
 
     def test_counters_track_the_protocol(self):
         cache = SharedResultsCache(maxsize=8)
